@@ -61,7 +61,6 @@ from .saddle import (
     saddle_of_weights,
 )
 from .simulate import (
-    Codebook,
     TrialReport,
     simulate_channel_coding,
     simulate_rate_distortion,

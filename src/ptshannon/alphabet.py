@@ -207,16 +207,6 @@ def info_ratio(joint: JointDistribution, x: int, y: int) -> float:
     return float(joint.probs[x, y]) / (px * py)
 
 
-def info_ratio_matrix(joint: JointDistribution) -> np.ndarray:
-    """Matrix of P(x,y)/(P(x)P(y)); zero-marginal cells are NaN."""
-    px = joint.probs.sum(axis=1)
-    py = joint.probs.sum(axis=0)
-    denom = px[:, None] * py[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = joint.probs / denom
-    return np.where(denom > 0, r, np.nan)
-
-
 def sample_iid(dist: Distribution, n: int, rng: RngStream) -> np.ndarray:
     """Draw n i.i.d. symbols; deterministic given the stream."""
     if n < 1:

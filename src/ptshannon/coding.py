@@ -20,20 +20,36 @@ import numpy as np
 from scipy.special import erfc, gammaln
 
 from .alphabet import Channel, Distribution, JointDistribution, joint_from
-from .errors import InstanceTooLarge, UndefinedRatio
+from .errors import CodebookTooLarge, InstanceTooLarge, UndefinedRatio
 from .info_measures import entropy, mutual_information, rate_distortion
-from .type_classes import count_types
+from .type_classes import count_types, type_array
 
 EXACT_TYPE_GUARD = 2 * 10**6
+MAX_LOG_CODEBOOK = 700.0
 
 
 def codebook_size(rate: float, n: int) -> int:
     """Integer codebook size floor(exp(n * rate)); the predictions and the
     simulators share this convention.  A one-ulp nudge keeps rates that hit
-    an integer exactly (e.g. n*rate = k ln 2) from flooring through it."""
+    an integer exactly (e.g. n*rate = k ln 2) from flooring through it.
+    Beyond n*rate = 700 no codebook can be materialized and the size is not
+    built: `log_codebook_size` carries it there."""
     if rate <= 0 or n < 1:
         raise ValueError("rate must be positive and n >= 1")
-    return int(math.floor(math.exp(min(n * rate, 700.0)) * (1.0 + 1e-12)))
+    if n * rate > MAX_LOG_CODEBOOK:
+        raise CodebookTooLarge(
+            f"codebook of e^{n * rate:.1f} rows; use log_codebook_size"
+        )
+    return int(math.floor(math.exp(n * rate) * (1.0 + 1e-12)))
+
+
+def log_codebook_size(rate: float, n: int) -> float:
+    """ln floor(exp(n * rate)) at any size: the log of `codebook_size` while
+    the integer exists, n*rate beyond, where the floor moves the log by less
+    than e^-700."""
+    if n * rate > MAX_LOG_CODEBOOK:
+        return n * rate
+    return math.log(codebook_size(rate, n))
 
 
 # --- source coding ------------------------------------------------------------
@@ -58,12 +74,6 @@ class SourceCodingSetup:
             raise ValueError(f"unknown mode {self.mode!r}")
 
 
-def _binary_type_tables(n: int):
-    k = np.arange(n + 1)
-    log_binom = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-    return k, log_binom
-
-
 def source_coding_exact_psuc(setup: SourceCodingSetup) -> float:
     """Exact success probability of the fixed-rate set encoder.
 
@@ -71,7 +81,9 @@ def source_coding_exact_psuc(setup: SourceCodingSetup) -> float:
     sum_x T(x) ln(1/Q(x)) <= R, with Q the source (source-dependent mode) or
     T itself (universal mode, i.e. H(T) <= R).  The success probability is
     the exact lattice sum of class_size * sequence probability over the
-    encodable types.
+    encodable types, taken over the count vectors of `type_array`.  The
+    number of types is compared with EXACT_TYPE_GUARD before any is
+    enumerated.
     """
     p = setup.source.probs
     n, R = setup.n, setup.rate
@@ -79,27 +91,24 @@ def source_coding_exact_psuc(setup: SourceCodingSetup) -> float:
     if n_types > EXACT_TYPE_GUARD:
         raise InstanceTooLarge(f"{n_types} types exceeds the enumeration guard")
 
-    if p.size == 2:
-        k, log_binom = _binary_type_tables(n)
-        t = k / n
-        types = np.stack([t, 1 - t], axis=1)
+    counts = type_array(p.size, n)
+    support = p > 0
+    if not support.all():
+        # a type with counts off the support has probability 0; the rest
+        # are types over the support
+        counts = counts[(counts[:, ~support] == 0).all(axis=1)][:, support]
+        p = p[support]
+    types = counts / n
+    log_binom = gammaln(n + 1) - gammaln(counts + 1).sum(axis=1)
+    log_p = np.log(p)
+
+    if setup.mode == SOURCE_DEPENDENT:
+        cost = -types @ log_p
     else:
-        from .type_classes import enumerate_types
-
-        counts = np.array([t.counts for t in enumerate_types(p.size, n)], dtype=float)
-        types = counts / n
-        log_binom = gammaln(n + 1) - gammaln(counts + 1).sum(axis=1)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if setup.mode == SOURCE_DEPENDENT:
-            cost = -types @ np.where(p > 0, np.log(p), -np.inf)
-        else:
-            cost = -np.sum(np.where(types > 0, types * np.log(np.where(types > 0, types, 1.0)), 0.0), axis=1)
-        log_prob = n * types @ np.where(p > 0, np.log(p), -np.inf)
-        log_prob = np.where(np.all((types == 0) | (p > 0), axis=1), log_prob, -np.inf)
+        cost = -np.sum(np.where(types > 0, types * np.log(np.where(types > 0, types, 1.0)), 0.0), axis=1)
+    log_prob = n * types @ log_p
     member = cost <= R
-    terms = np.where(member & np.isfinite(log_prob), log_binom + log_prob, -np.inf)
-    return float(np.exp(terms[np.isfinite(terms)]).sum()) if np.any(np.isfinite(terms)) else 0.0
+    return float(np.exp(log_binom[member] + log_prob[member]).sum())
 
 
 def source_coding_asymptote(setup: SourceCodingSetup) -> int:

@@ -29,33 +29,20 @@ import numpy as np
 from scipy.special import gammaln
 
 from .alphabet import Channel, Distribution, RngStream
-from .coding import SOURCE_DEPENDENT, SourceCodingSetup, codebook_size
+from .coding import (
+    MAX_LOG_CODEBOOK,
+    SOURCE_DEPENDENT,
+    SourceCodingSetup,
+    codebook_size,
+    log_codebook_size,
+)
 from .errors import CodebookTooLarge, DegenerateMarginal, DimensionMismatch
 from .info_measures import _validate_distortion_matrix
+from .type_classes import count_types, type_array
 
 OPS_GUARD = 10**9
 LATTICE_GUARD = 4 * 10**6
-
-
-@dataclass(frozen=True)
-class Codebook:
-    """Random code: row m holds codeword m."""
-
-    words: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.words)
-        if w.ndim != 2 or w.size == 0:
-            raise DimensionMismatch("codebook must be a non-empty 2-D matrix")
-        object.__setattr__(self, "words", w)
-
-    @property
-    def size(self) -> int:
-        return self.words.shape[0]
-
-    @property
-    def blocklength(self) -> int:
-        return self.words.shape[1]
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -144,17 +131,12 @@ class _Lattice:
 def _composition_lattice(m: int, col_values: np.ndarray, col_logp: np.ndarray,
                          companion: np.ndarray | None = None):
     """Distribution of the sum of m i.i.d. draws from a finite value set,
-    enumerated over occupancy vectors with multinomial weights."""
-    from .type_classes import compositions
-
+    enumerated over occupancy vectors with multinomial weights.  The size
+    is checked against the guard before any vector is built."""
     k = col_values.size
-    if k == 2:
-        j = np.arange(m + 1, dtype=float)
-        counts = np.stack([m - j, j], axis=1)
-    else:
-        counts = np.array(list(compositions(m, k)), dtype=float)
-        if counts.shape[0] > LATTICE_GUARD:
-            raise CodebookTooLarge("per-group composition lattice exceeds the guard")
+    if count_types(k, m) > LATTICE_GUARD:
+        raise CodebookTooLarge("per-group composition lattice exceeds the guard")
+    counts = type_array(k, m)
     with np.errstate(invalid="ignore"):
         logw = np.where(counts > 0, counts * col_logp[None, :], 0.0)
     log_pmf = (gammaln(m + 1) - gammaln(counts + 1).sum(axis=1)) + logw.sum(axis=1)
@@ -180,14 +162,22 @@ def _fold(values_a, logp_a, values_b, logp_b, extra_a=None, extra_b=None):
 
 def _log_pow_one_minus(log_eps: float, log_m: float) -> float:
     """ln((1 - eps)^M) from ln(eps) and ln(M); exact for tiny eps even when
-    M is far beyond integer range."""
+    M is far beyond integer range.  ln(1 - eps) splits at eps = 1/2
+    (log1mexp, Maechler 2012) so eps within an ulp of 1 stays finite.  When
+    M > e^MAX_LOG_CODEBOOK with eps > e^-30, or M*eps > e^MAX_LOG_CODEBOOK,
+    the power is 0 to double precision and the result is -inf, where
+    exp(log_m) would overflow."""
     if log_eps == -math.inf:
         return 0.0
     if log_eps >= 0.0:
         return -math.inf
     if log_eps > -30.0:
+        if log_m > MAX_LOG_CODEBOOK:
+            return -math.inf
+        if log_eps > -_LN2:
+            return math.exp(log_m) * math.log(-math.expm1(log_eps))
         return math.exp(log_m) * math.log1p(-math.exp(log_eps))
-    return -math.exp(log_m + log_eps)
+    return -math.exp(log_m + log_eps) if log_m + log_eps <= MAX_LOG_CODEBOOK else -math.inf
 
 
 # --- channel coding -------------------------------------------------------------
@@ -287,25 +277,34 @@ def simulate_channel_coding(channel: Channel, input_dist: Distribution, rate: fl
         raise ValueError("trials must be >= 1")
     if channel.input_size != input_dist.alphabet_size:
         raise DimensionMismatch("input distribution does not match the channel")
-    n_m = codebook_size(rate, n)
-    if n_m < 2:
+    log_m = log_codebook_size(rate, n)
+    if log_m < _LN2:
         raise ValueError("codebook needs at least 2 rows; raise rate or n")
 
-    cost = float(n_m) * n * trials
-    if method == "auto":
-        method = "materialize" if cost <= ops_guard else "conditional"
-    if method == "materialize":
-        if cost > ops_guard:
-            raise CodebookTooLarge(
-                f"materialized run needs ~{cost:.2e} operations (guard {ops_guard:.0e})"
-            )
+    if _resolve_method(method, log_m, n, trials, ops_guard) == "materialize":
         return _channel_materialized(channel, input_dist, rate, n, trials,
-                                     decoder, rng, fresh_codebook, n_m)
-    if method != "conditional":
-        raise ValueError("method must be 'auto', 'materialize', or 'conditional'")
+                                     decoder, rng, fresh_codebook, codebook_size(rate, n))
     if not fresh_codebook:
         raise CodebookTooLarge("fixed-codebook runs require materialization")
-    return _channel_conditional(channel, input_dist, rate, n, trials, decoder, rng, n_m)
+    return _channel_conditional(channel, input_dist, rate, n, trials, decoder, rng, log_m)
+
+
+def _resolve_method(method: str, log_m: float, n: int, trials: int, ops_guard: int) -> str:
+    """``materialize`` or ``conditional``.  A materialized run costs
+    N_m*n*trials operations; that count is compared with the guard in log
+    space, so N_m need not exist as a number."""
+    budget = ops_guard / (n * trials)
+    fits = budget > 0 and log_m <= math.log(budget)
+    if method == "auto":
+        return "materialize" if fits else "conditional"
+    if method == "materialize" and not fits:
+        raise CodebookTooLarge(
+            f"materialized run needs ~e^{log_m + math.log(n * trials):.1f} operations"
+            f" (guard {ops_guard:.0e})"
+        )
+    if method not in ("materialize", "conditional"):
+        raise ValueError("method must be 'auto', 'materialize', or 'conditional'")
+    return method
 
 
 def _channel_materialized(channel, input_dist, rate, n, trials, decoder, rng,
@@ -347,8 +346,11 @@ def _channel_materialized(channel, input_dist, rate, n, trials, decoder, rng,
     return _report(successes, trials, rng)
 
 
-def _channel_conditional(channel, input_dist, rate, n, trials, decoder, rng, n_m) -> TrialReport:
+def _channel_conditional(channel, input_dist, rate, n, trials, decoder, rng, log_m) -> TrialReport:
     cond = _ChannelConditional(channel, input_dist)
+    # ln(N_m - 1) rivals, from the integer size wherever it exists
+    log_rivals = (math.log(codebook_size(rate, n) - 1) if n * rate <= MAX_LOG_CODEBOOK
+                  else log_m)
     rows = channel.rows
     p_in = input_dist.probs
     successes = 0
@@ -366,21 +368,20 @@ def _channel_conditional(channel, input_dist, rate, n, trials, decoder, rng, n_m
             thresh = n * rate + float(_masked_dot(y_counts[None, :], cond.log_p_out)[0])
             if s_true > thresh:
                 log_tail = lat.log_tail_gt(thresh)
-                p_win = math.exp(_log_pow_one_minus(log_tail, math.log(n_m - 1)))
+                p_win = math.exp(_log_pow_one_minus(log_tail, log_rivals))
             else:
                 p_win = 0.0
         else:
-            p_win = _ml_win_probability(lat, s_true, n_m)
+            p_win = _ml_win_probability(lat, s_true, log_m)
         successes += bool(gen.random() < p_win)
     return _report(successes, trials, rng)
 
 
-def _ml_win_probability(lat: _Lattice, s_true: float, n_m: int) -> float:
+def _ml_win_probability(lat: _Lattice, s_true: float, log_nm: float) -> float:
     """Chance that the transmitted word wins the argmax with uniform
     tie-break: [(1-p_gt)^Nm - (1-p_gt-p_eq)^Nm] / (Nm * p_eq)."""
     log_gt = lat.log_tail_gt(s_true)
     log_eq = lat.log_mass_eq(s_true)
-    log_nm = math.log(n_m)
     log_x = _log_pow_one_minus(log_gt, log_nm)
     if log_x == -math.inf:
         return 0.0
@@ -435,7 +436,7 @@ class _DistortionConditional:
 
 
 def _rd_fail_probability(values, log_pmf, dist_totals, budget: float,
-                         margin: float, n_m: int) -> float:
+                         margin: float, log_nm: float) -> float:
     """P(no codeword both meets the budget and clears the pairwise margin).
 
     Success happens iff the best budget-meeting codeword scores above the
@@ -452,7 +453,6 @@ def _rd_fail_probability(values, log_pmf, dist_totals, budget: float,
         return 0.0  # every codeword meets the budget; the top one passes
     lat_meet = _Lattice(values[meet], log_pmf[meet]) if np.any(meet) else None
     lat_not = _Lattice(values[~meet], log_pmf[~meet])
-    log_nm = math.log(n_m)
 
     def meet_above(t: float) -> float:
         return lat_meet.log_tail_gt(t) if lat_meet is not None else -math.inf
@@ -487,24 +487,16 @@ def simulate_rate_distortion(source: Distribution, test_channel: Channel, d, D: 
     if D < 0:
         raise ValueError("D must be non-negative")
     cond = _DistortionConditional(source, test_channel, d)
-    n_m = codebook_size(rate, n)
-    if n_m < 2:
+    log_m = log_codebook_size(rate, n)
+    if log_m < _LN2:
         raise ValueError("codebook needs at least 2 rows; raise rate or n")
     budget = n * D + 1e-9 * max(1.0, n * D)
     margin = n * rate
 
-    cost = float(n_m) * n * trials
-    if method == "auto":
-        method = "materialize" if cost <= ops_guard else "conditional"
-    if method == "materialize":
-        if cost > ops_guard:
-            raise CodebookTooLarge(
-                f"materialized run needs ~{cost:.2e} operations (guard {ops_guard:.0e})"
-            )
-        return _rd_materialized(source, cond, d, budget, margin, n, trials, rng, n_m)
-    if method != "conditional":
-        raise ValueError("method must be 'auto', 'materialize', or 'conditional'")
-    return _rd_conditional(source, cond, budget, margin, n, trials, rng, n_m)
+    if _resolve_method(method, log_m, n, trials, ops_guard) == "materialize":
+        return _rd_materialized(source, cond, d, budget, margin, n, trials, rng,
+                                codebook_size(rate, n))
+    return _rd_conditional(source, cond, budget, margin, n, trials, rng, log_m)
 
 
 def _rd_materialized(source, cond, d, budget, margin, n, trials, rng, n_m) -> TrialReport:
@@ -531,7 +523,7 @@ def _rd_materialized(source, cond, d, budget, margin, n, trials, rng, n_m) -> Tr
     return _report(successes, trials, rng)
 
 
-def _rd_conditional(source, cond, budget, margin, n, trials, rng, n_m) -> TrialReport:
+def _rd_conditional(source, cond, budget, margin, n, trials, rng, log_m) -> TrialReport:
     p = source.probs
     p_fail_by_type: dict[tuple, float] = {}
     successes = 0
@@ -541,6 +533,6 @@ def _rd_conditional(source, cond, budget, margin, n, trials, rng, n_m) -> TrialR
         key = tuple(int(c) for c in np.bincount(x, minlength=p.size))
         if key not in p_fail_by_type:
             v, lp, dist = cond.law(key)
-            p_fail_by_type[key] = _rd_fail_probability(v, lp, dist, budget, margin, n_m)
+            p_fail_by_type[key] = _rd_fail_probability(v, lp, dist, budget, margin, log_m)
         successes += bool(gen.random() >= p_fail_by_type[key])
     return _report(successes, trials, rng)

@@ -5,7 +5,13 @@ A length-n sequence over an alphabet of size N has an occurrence-count vector
 multinomial coefficient n! / prod(counts!).  This module provides exact
 class sizes (big-integer and log-gamma), the Stirling-based asymptotic size
 estimate, type enumeration, conditional types, and the exact counting
-identities that tie them together:
+identities that tie them together.
+
+Types are enumerated two ways, in the same lexicographic order:
+`type_array` returns every count vector as one row of an int64 array, for
+numeric sums over the type lattice; `compositions` and `enumerate_types`
+yield them one at a time as tuples and `SequenceType` objects.  The
+identities checked here:
 
   * the classes partition the sequence space: sum of sizes = N^n;
   * conditional class size = joint class size / marginal class size;
@@ -14,6 +20,7 @@ identities that tie them together:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -178,6 +185,29 @@ def compositions(n: int, parts: int) -> Iterator[tuple]:
     for first in range(n + 1):
         for rest in compositions(n - first, parts - 1):
             yield (first,) + rest
+
+
+def type_array(parts: int, n: int) -> np.ndarray:
+    """Every composition of n into `parts` non-negative parts as one
+    (count_types(parts, n), parts) int64 array, in the order of
+    `compositions`.
+
+    Stars and bars: the parts - 1 bar positions among n + parts - 1 slots,
+    taken in lexicographic order, fix the counts as the gaps between
+    consecutive bars, with a bar before the first slot and after the last.  The size is not guarded; callers compare
+    `count_types` with their own guard first.
+    """
+    if parts < 1 or n < 0:
+        raise DimensionMismatch("parts must be positive and n non-negative")
+    slots, rows = n + parts - 1, count_types(parts, n)
+    edges = np.empty((rows, parts + 1), dtype=np.int64)
+    edges[:, 0] = -1
+    edges[:, -1] = slots
+    edges[:, 1:-1] = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(slots), parts - 1)),
+        dtype=np.int64, count=rows * (parts - 1),
+    ).reshape(rows, parts - 1)
+    return np.diff(edges, axis=1) - 1
 
 
 def enumerate_types(alphabet_size: int, n: int) -> Iterator[SequenceType]:

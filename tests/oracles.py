@@ -1,7 +1,8 @@
 """Independent closed-form oracles shared by the simulator, polytope and
 acceptance tests.  They use only integer counts and binomial sums, never the
-package's score lattices."""
+package's score lattices or type arrays."""
 
+import itertools
 import math
 
 import numpy as np
@@ -71,3 +72,49 @@ def smoothed_delta_sequence_sum(n: int, eps: float, alphabet_size: int) -> float
     """
     lam0 = 1.0 / eps ** 2
     return (lam0 / (lam0 + n * alphabet_size / 4.0)) ** ((alphabet_size - 1) / 2.0)
+
+
+def binary_rd_success(n: int, D: float, rate: float) -> float:
+    """Exact success probability of rate-distortion coding of the uniform
+    binary source with Hamming distortion and the BSC test channel.
+
+    The reproduction marginal is uniform and a codeword's score falls with
+    its Hamming distance K from the block, so the best word within the
+    budget always clears the pairwise margin.  Success iff one of the N_m
+    i.i.d. words lies within floor(nD): 1 - (1 - q)^N_m with
+    q = P(Bin(n, 1/2) <= floor(nD)).  The power is taken in log scale: q can
+    be so small that 1 - q rounds to 1 and a plain power gives 0.
+    """
+    n_m = codebook_size(rate, n)
+    q = sum(math.comb(n, k) for k in range(math.floor(n * D + 1e-9) + 1)) / 2 ** n
+    return -math.expm1(n_m * math.log1p(-q))
+
+
+def source_coding_success(probs, rate: float, n: int, mode: str) -> tuple[float, float]:
+    """Exact success probability of the fixed-rate set encoder by a plain
+    loop over count vectors, and the smallest |cost - rate| over the types
+    the source can emit (types that close to the rate may fall either way
+    under rounding).
+
+    Cost is sum_x T(x) ln(1/p(x)) (``source-dependent``) or H(T)
+    (``universal``); the probability of a type is its multinomial class size
+    times p^counts.
+    """
+    terms, gap = [], math.inf
+    for head in itertools.product(range(n + 1), repeat=len(probs) - 1):
+        if sum(head) > n:
+            continue
+        counts = head + (n - sum(head),)
+        if any(c > 0 and p == 0 for c, p in zip(counts, probs)):
+            continue
+        if mode == "source-dependent":
+            cost = sum(c * -math.log(p) for c, p in zip(counts, probs) if c > 0) / n
+        else:
+            cost = -sum(c / n * math.log(c / n) for c in counts if c > 0)
+        gap = min(gap, abs(cost - rate))
+        if cost <= rate:
+            terms.append(math.exp(
+                math.lgamma(n + 1)
+                + sum(c * math.log(p) - math.lgamma(c + 1)
+                      for c, p in zip(counts, probs) if c > 0)))
+    return math.fsum(terms), gap

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from ptshannon import (
     Channel,
@@ -21,8 +23,16 @@ from ptshannon import (
     source_coding_exact_psuc,
     uniform_distribution,
 )
-from ptshannon.coding import rate_achievable, rate_within_converse
-from ptshannon.errors import InstanceTooLarge
+from ptshannon.coding import (
+    SOURCE_DEPENDENT,
+    UNIVERSAL,
+    log_codebook_size,
+    rate_achievable,
+    rate_within_converse,
+)
+from ptshannon.errors import CodebookTooLarge, InstanceTooLarge
+
+from oracles import source_coding_success
 
 LN2 = math.log(2.0)
 
@@ -32,6 +42,14 @@ def test_codebook_size_convention():
     assert codebook_size(LN2, 4) == 16
     with pytest.raises(ValueError):
         codebook_size(-0.1, 10)
+    # the integer size is built only while it exists; its log is carried at
+    # every size, without a cap
+    assert log_codebook_size(0.5, 10) == math.log(codebook_size(0.5, 10))
+    assert log_codebook_size(LN2, 4) == math.log(16)
+    assert log_codebook_size(1.12, 700) == 1.12 * 700
+    assert log_codebook_size(2.0, 1000) == 2000.0
+    with pytest.raises(CodebookTooLarge):
+        codebook_size(1.12, 700)
 
 
 # --- source coding -------------------------------------------------------------
@@ -82,6 +100,33 @@ def test_exact_psuc_three_letter_alphabet():
     src = make_distribution([0.6, 0.3, 0.1])
     p = source_coding_exact_psuc(SourceCodingSetup(src, entropy(src) + 0.15, 60))
     assert 0.5 < p <= 1.0
+
+
+@given(weights=st.lists(st.integers(0, 9), min_size=2, max_size=4).filter(any),
+       n=st.integers(1, 24), rate=st.floats(0.01, 1.6),
+       mode=st.sampled_from([SOURCE_DEPENDENT, UNIVERSAL]))
+def test_exact_psuc_matches_per_type_loop(weights, n, rate, mode):
+    """The array sum over `type_array` equals a plain loop over count
+    vectors, for N = 2, 3, 4, sources with zero entries, both modes."""
+    src = make_distribution(weights)
+    expected, gap = source_coding_success(tuple(src.probs), rate, n, mode)
+    assume(gap > 1e-9)
+    got = source_coding_exact_psuc(SourceCodingSetup(src, rate, n, mode))
+    assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_exact_psuc_source_with_zero_entry():
+    """A symbol the source never emits leaves the types over the others:
+    here a ternary source is the binary one with an unused third letter."""
+    binary = make_distribution([0.7, 0.3])
+    ternary = make_distribution([0.7, 0.3, 0.0])
+    for mode in (SOURCE_DEPENDENT, UNIVERSAL):
+        want = source_coding_exact_psuc(SourceCodingSetup(binary, 0.65, 40, mode))
+        got = source_coding_exact_psuc(SourceCodingSetup(ternary, 0.65, 40, mode))
+        assert 0.5 < want < 1.0
+        assert got == pytest.approx(want, rel=1e-12)
+    point = make_distribution([0.0, 1.0])
+    assert source_coding_exact_psuc(SourceCodingSetup(point, 1.0, 1)) == 1.0
 
 
 def test_exact_psuc_guard():

@@ -2,6 +2,7 @@
 and for reproducibility."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,8 +25,9 @@ from ptshannon import (
     uniform_distribution,
 )
 from ptshannon.errors import CodebookTooLarge, DegenerateMarginal
+from ptshannon.simulate import _log_pow_one_minus
 
-from oracles import bsc_exact_success
+from oracles import binary_rd_success, bsc_exact_success
 
 
 # --- source coding ------------------------------------------------------------------
@@ -175,6 +177,32 @@ def test_channel_materialize_guard():
     assert rep.trials == 50
 
 
+def test_channel_lattice_guard_checked_before_enumeration():
+    """Noiseless 4-ary channel, uniform input: every output pools into one
+    lattice of C(n+3, 3) points, 4 022 880 at n = 287, over LATTICE_GUARD.
+    The guard raises before any point is built."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(CodebookTooLarge):
+            simulate_channel_coding(Channel(np.eye(4)), uniform_distribution(4), 1.0, 287,
+                                    5, "ml", RngStream(1), method="conditional")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
+def test_channel_codebook_beyond_float_range():
+    """Noiseless ternary channel, uniform input, rate 1.12 > C = ln 3: the
+    sent word ties each rival with chance 3^-n, N_m 3^-n = e^(n(R - ln 3))
+    grows, and ML success is about e^(-n(R - ln 3)) < 3e-6 on both sides of
+    n*rate = 700, where N_m no longer fits a float."""
+    for n in (600, 700):
+        rep = simulate_channel_coding(Channel(np.eye(3)), uniform_distribution(3), 1.12, n,
+                                      20, "ml", RngStream(1), method="conditional")
+        assert rep.p_hat == 0.0, n
+
+
 # --- rate-distortion ---------------------------------------------------------------------
 
 def test_rd_zero_distortion_reduces_to_lossless_coding():
@@ -213,6 +241,29 @@ def test_rd_paths_agree():
     a, b = reps["materialize"], reps["conditional"]
     noise = 3 * math.hypot(a.ci95_halfwidth, b.ci95_halfwidth) / 1.96
     assert abs(a.p_hat - b.p_hat) <= noise
+
+
+def test_rd_conditional_rival_mass_within_an_ulp_of_one():
+    """At n = 100 some source types leave a per-codeword mass within an ulp
+    of 1 in the failure sum, where ln(1 - eps) must not round eps to 1."""
+    u = uniform_distribution(2)
+    n, D, rate, trials = 100, 0.1, 0.4, 2000
+    rep = simulate_rate_distortion(u, binary_symmetric_channel(0.1), hamming_distortion(2),
+                                   D, rate, n, trials, RngStream(1), method="conditional")
+    exact = binary_rd_success(n, D, rate)
+    assert exact == pytest.approx(0.97282, abs=1e-5)
+    assert abs(rep.p_hat - exact) <= 3 * math.sqrt(exact * (1 - exact) / trials)
+
+
+def test_log_pow_one_minus_edges():
+    """ln((1 - eps)^M) stays finite for eps within an ulp of 1, and is -inf,
+    not an overflow, once the power is 0 to double precision."""
+    assert _log_pow_one_minus(-5e-17, 0.0) == pytest.approx(math.log(5e-17), rel=1e-12)
+    assert _log_pow_one_minus(-0.1, 2.0) == pytest.approx(
+        math.exp(2.0) * math.log1p(-math.exp(-0.1)), rel=1e-12)
+    assert _log_pow_one_minus(-1.0, 800.0) == -math.inf
+    assert _log_pow_one_minus(-40.0, 800.0) == -math.inf
+    assert _log_pow_one_minus(-1000.0, 800.0) == -math.exp(-200.0)
 
 
 def test_rd_margin_sensitive_regime_paths_agree():

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ptshannon import (
     JointSequenceType,
@@ -22,12 +24,19 @@ from ptshannon import (
     type_of,
     uniform_distribution,
 )
-from ptshannon.errors import InstanceTooLarge, SupportViolation, SymbolOutOfAlphabet
+from ptshannon.errors import (
+    DimensionMismatch,
+    InstanceTooLarge,
+    SupportViolation,
+    SymbolOutOfAlphabet,
+)
 from ptshannon.type_classes import (
+    compositions,
     conditional_class_size_int,
     enumerate_conditional_class,
     log_multinomial,
     multinomial_int,
+    type_array,
     type_density_estimate,
 )
 
@@ -113,6 +122,23 @@ def test_enumerate_types_is_lexicographic_and_reproducible():
     first = [t.counts for t in enumerate_types(3, 3)]
     assert first == sorted(first)
     assert first == [t.counts for t in enumerate_types(3, 3)]
+
+
+@given(parts=st.integers(1, 5), n=st.integers(0, 12))
+def test_type_array_matches_compositions(parts, n):
+    """The stars-and-bars array holds the recursive generator's vectors, in
+    its order."""
+    arr = type_array(parts, n)
+    assert arr.dtype == np.int64
+    assert arr.shape == (count_types(parts, n), parts)
+    assert [tuple(row) for row in arr.tolist()] == list(compositions(n, parts))
+
+
+def test_type_array_rejects_empty_alphabet():
+    with pytest.raises(DimensionMismatch):
+        type_array(0, 3)
+    with pytest.raises(DimensionMismatch):
+        type_array(2, -1)
 
 
 def test_type_density_asymptotic():
