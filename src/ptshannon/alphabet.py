@@ -139,9 +139,12 @@ class RngStream:
 
     ``generator()`` returns a fresh Philox generator positioned at the start
     of the stream, so two calls with the same key replay the same sequence.
-    ``substream(i)`` derives an independent child stream deterministically,
-    which lets simulators assign one stream per trial index and stay
-    reproducible under any worker scheduling.
+    ``substream(i)`` derives an independent child stream deterministically.
+    The simulators key each unit of work by index: a block of trials draws
+    from ``substream(b)`` for block index b (a literal-codebook trial from
+    ``substream(i)`` for trial index i), always in full, so trial i's outcome
+    depends only on (seed, i) and runs stay reproducible under any worker
+    scheduling.
     """
 
     seed: int

@@ -2,9 +2,9 @@
 estimates, and polytope-integral oracles, each reported as one CSV row
 (check, detail, value, reference, error, tolerance, status).
 
-Status is ``pass``/``fail`` for gated checks and ``info`` for quantities that
-are reported rather than gated (known approximation-regime mismatches are
-surfaced with their measured values instead of being absorbed).
+Status is ``pass`` or ``fail``: every row is gated against the value the
+method defines at the given parameters, with its finite-n corrections where
+the method has them, so an approximation-regime mismatch shows as a failure.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .polytope import (
     dirichlet_integral,
     sherman_morrison,
     simplex_gaussian_integral,
-    simplex_mc_integral,
     smoothed_delta_normalization,
 )
 from .saddle import saddle_normalization_estimate
@@ -127,7 +126,7 @@ def dirichlet_rows() -> list[Row]:
     return rows
 
 
-def gaussian_rows(rng: RngStream, mc_samples: int = 200_000) -> list[Row]:
+def gaussian_rows(rng: RngStream) -> list[Row]:
     rows = []
     # N=2 closed form vs quadrature
     lam = np.array([1000.0, 1500.0])
@@ -138,21 +137,27 @@ def gaussian_rows(rng: RngStream, mc_samples: int = 200_000) -> list[Row]:
     quad = float(np.trapezoid(integrand, t))
     rows.append(_row("simplex_gaussian_vs_quadrature", "N=2,lam=1e3",
                      closed / quad, 1.0, 1e-3))
-    # N=3,4 closed form vs Monte Carlo within 3 standard errors
+    # N=3,4 closed form vs a Riemann sum over the simplex, on a uniform grid
+    # of the first N-1 coordinates in [0, 2/N].  Outside that box and near
+    # its edges the integrand is below e^(-lam_min/N^2) < e^-11, so the sum
+    # converges spectrally.  The closed form integrates over the whole plane;
+    # the Gaussian mass outside the simplex is about 1e-7 of the value at
+    # worst (N=4, every lam=180).
     for idx, N in enumerate((3, 4)):
         gen = rng.substream(100 + idx).generator()
         # 3/sqrt(lam_min) must clear the 1/N interior margin for any draw
         lam = gen.uniform(180.0, 500.0, size=N)
-        center = uniform_distribution(N)
-        closed = simplex_gaussian_integral(SimplexGaussian(center, lambdas=lam))
-
-        def f(pts, lam=lam, c=center.probs):
-            return np.exp(-np.sum(lam[None, :] * (pts - c[None, :]) ** 2, axis=1))
-
-        est, se = simplex_mc_integral(f, N, mc_samples, rng.substream(200 + idx))
-        ok = abs(est - closed) <= 3 * se
-        rows.append(_row("simplex_gaussian_vs_mc", f"N={N}", est, closed, 3 * se,
-                         status="pass" if ok else "fail"))
+        c = 1.0 / N
+        closed = simplex_gaussian_integral(SimplexGaussian(uniform_distribution(N),
+                                                           lambdas=lam))
+        axis = np.linspace(0.0, 2 * c, 41)
+        pts = np.stack(np.meshgrid(*[axis] * (N - 1), indexing="ij"), axis=-1)
+        pts = pts.reshape(-1, N - 1)
+        last = 1.0 - pts.sum(axis=1)
+        expo = (lam[:-1] * (pts - c) ** 2).sum(axis=1) + lam[-1] * (last - c) ** 2
+        quad = float(np.exp(-expo)[last >= 0].sum()) * (axis[1] - axis[0]) ** (N - 1)
+        rows.append(_row("simplex_gaussian_vs_quadrature", f"N={N}", closed / quad,
+                         1.0, 1e-5))
     # matrix form reduces to the diagonal form
     lam = np.array([130.0, 95.0, 250.0])
     center = uniform_distribution(3)
@@ -251,21 +256,24 @@ def smoothed_delta_rows(n: int = 200, eps: float = 0.05) -> list[Row]:
     """Normalization of the smoothed type delta.
 
     The continuous form is gated (the closed form makes it exactly 1); the
-    lattice discretization of the continuous form is gated loosely; the
-    sequence-level sum is reported as info because the class-size ratio
-    inside it biases the sum down by a factor depending on n*eps^2, a known
-    limitation of the sharp-peak approximation at these parameters.
+    lattice discretization of the continuous form is gated loosely.  The
+    sequence-level sum carries the class-size ratio sqrt(d_class/d_ref),
+    which near the reference type is exp(-(nN/4)|T - T_ref|^2) and adds to
+    the Gaussian's curvature lam0 = 1/eps^2, so it is gated against
+    (lam0 / (lam0 + nN/4))^((N-1)/2), not 1.
     """
     ref = SequenceType((n // 2, n // 2), n)
     rep = smoothed_delta_normalization(SmoothedDelta(eps, ref),
                                        Distribution(np.array([0.5, 0.5])))
+    lam0 = 1.0 / eps ** 2
+    target = math.sqrt(lam0 / (lam0 + n / 2.0))  # N = 2
     return [
         _row("smoothed_delta_continuous", f"n={n},eps={eps}",
              rep.continuous_value, 1.0, 1e-6),
         _row("smoothed_delta_type_sum", f"n={n},eps={eps}",
              rep.type_sum, 1.0, 1e-3),
         _row("smoothed_delta_sequence_sum", f"n={n},eps={eps}",
-             rep.sequence_sum, 1.0, 5e-2, status="info"),
+             rep.sequence_sum, target, 1e-3 * target),
     ]
 
 
@@ -305,7 +313,7 @@ def run_all(params: dict, rng: RngStream, appendix_only: bool = False) -> list[R
             rows += chain_rule_rows(int(params.get("chain_rule_max_n", 8)))
             rows += saddle_rows()
         rows += dirichlet_rows()
-        rows += gaussian_rows(rng, int(params.get("mc_samples", 200_000)))
+        rows += gaussian_rows(rng)
         rows += conditional_gaussian_rows(rng)
         rows += rank_one_rows(rng)
         rows += det_expansion_rows(rng)

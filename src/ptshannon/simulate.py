@@ -16,8 +16,14 @@ reproduces the protocol's success distribution without materializing the
 codebook.  Both paths are deterministic given (config, seed) and agree in
 distribution.
 
-Trials use one substream per trial index, so reports do not depend on how
-trials are scheduled across workers.
+The conditional paths and the source simulator share one trial kernel
+(:func:`_type_trials`): a trial depends on its block only through the
+block's type, so the kernel draws types directly by multinomial sampling,
+computes each distinct type's success probability once, and spends one
+uniform per trial.  Trials run in blocks of ``TRIAL_BLOCK``: block b draws
+from substream b, always a full block, so trial i's outcome depends only on
+(seed, i), not on the trial count or on how blocks are scheduled.  The
+materialize paths draw a literal codebook per trial from substream i.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from .type_classes import count_types, type_array
 
 OPS_GUARD = 10**9
 LATTICE_GUARD = 4 * 10**6
+TRIAL_BLOCK = 1024
 _LN2 = math.log(2.0)
 
 
@@ -76,27 +83,56 @@ def _masked_dot(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
     return terms.sum(axis=1)
 
 
+def _type_trials(trials: int, rng: RngStream, draw_types, p_success) -> TrialReport:
+    """The one conditional trial loop: block of types -> success probability
+    per distinct type -> one Bernoulli per trial.
+
+    ``draw_types(gen, size)`` returns ``size`` block types, one integer array
+    per trial; ``p_success(key)`` maps a type, flattened to a tuple of ints,
+    to the trial's success probability and is called once per distinct type.
+    Block b draws TRIAL_BLOCK types and then TRIAL_BLOCK uniforms from
+    substream b and keeps the first rows it needs, so trial i's outcome
+    depends only on (seed, i).
+    """
+    memo: dict[tuple, float] = {}
+    successes = 0
+    for b in range(-(-trials // TRIAL_BLOCK)):
+        gen = rng.substream(b).generator()
+        types = draw_types(gen, TRIAL_BLOCK).reshape(TRIAL_BLOCK, -1)
+        u = gen.random(TRIAL_BLOCK)
+        take = min(TRIAL_BLOCK, trials - b * TRIAL_BLOCK)
+        distinct, inverse = np.unique(types[:take], axis=0, return_inverse=True)
+        p = np.empty(len(distinct))
+        for j, key in enumerate(map(tuple, distinct.tolist())):
+            if key not in memo:
+                memo[key] = p_success(key)
+            p[j] = memo[key]
+        successes += int(np.count_nonzero(u[:take] < p[inverse.reshape(-1)]))
+    return _report(successes, trials, rng)
+
+
 # --- source coding ------------------------------------------------------------
 
 def simulate_source_coding(setup: SourceCodingSetup, trials: int, rng: RngStream) -> TrialReport:
-    """Draw blocks i.i.d. from the source; success iff the block's type lies
-    in the fixed-rate acceptance set (membership computed from the type)."""
+    """Draw block types from the source; success iff the type lies in the
+    fixed-rate acceptance set."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     p = setup.source.probs
     with np.errstate(divide="ignore"):
         neglog = np.where(p > 0, -np.log(p), np.inf)
-    successes = 0
-    for i in range(trials):
-        gen = rng.substream(i).generator()
-        counts = np.bincount(gen.choice(p.size, size=setup.n, p=p), minlength=p.size)
+
+    def accepted(key: tuple) -> float:
+        counts = np.array(key)
         if setup.mode == SOURCE_DEPENDENT:
             cost = float(np.where(counts > 0, counts * neglog, 0.0).sum()) / setup.n
         else:
             t = counts[counts > 0] / setup.n
             cost = float(-(t * np.log(t)).sum())
-        successes += cost <= setup.rate
-    return _report(successes, trials, rng)
+        return float(cost <= setup.rate)
+
+    return _type_trials(trials, rng, lambda gen, size: gen.multinomial(setup.n, p, size=size),
+                        accepted)
 
 
 # --- score lattices -------------------------------------------------------------
@@ -353,28 +389,25 @@ def _channel_conditional(channel, input_dist, rate, n, trials, decoder, rng, log
                   else log_m)
     rows = channel.rows
     p_in = input_dist.probs
-    successes = 0
-    for i in range(trials):
-        gen = rng.substream(i).generator()
-        x = gen.choice(p_in.size, size=n, p=p_in)
-        y = _sample_rows(rows, x, gen)
-        joint_counts = np.zeros((p_in.size, rows.shape[1]), dtype=np.int64)
-        np.add.at(joint_counts, (x, y), 1)
+
+    def draw(gen, size):
+        # input type, then each input row's outputs: the joint (x, y) type
+        return gen.multinomial(gen.multinomial(n, p_in, size=size), rows)
+
+    def p_win(key: tuple) -> float:
+        joint_counts = np.array(key).reshape(rows.shape)
         y_counts = joint_counts.sum(axis=0)
         lat = cond.lattice(tuple(int(c) for c in y_counts))
         s_true = cond.true_score(joint_counts)
-        if decoder == "threshold":
-            # the sent word passes, and none of the N_m - 1 rivals does
-            thresh = n * rate + float(_masked_dot(y_counts[None, :], cond.log_p_out)[0])
-            if s_true > thresh:
-                log_tail = lat.log_tail_gt(thresh)
-                p_win = math.exp(_log_pow_one_minus(log_tail, log_rivals))
-            else:
-                p_win = 0.0
-        else:
-            p_win = _ml_win_probability(lat, s_true, log_m)
-        successes += bool(gen.random() < p_win)
-    return _report(successes, trials, rng)
+        if decoder == "ml":
+            return _ml_win_probability(lat, s_true, log_m)
+        # the sent word passes, and none of the N_m - 1 rivals does
+        thresh = n * rate + float(_masked_dot(y_counts[None, :], cond.log_p_out)[0])
+        if not s_true > thresh:
+            return 0.0
+        return math.exp(_log_pow_one_minus(lat.log_tail_gt(thresh), log_rivals))
+
+    return _type_trials(trials, rng, draw, p_win)
 
 
 def _ml_win_probability(lat: _Lattice, s_true: float, log_nm: float) -> float:
@@ -401,7 +434,7 @@ def _ml_win_probability(lat: _Lattice, s_true: float, log_nm: float) -> float:
 # --- rate-distortion --------------------------------------------------------------
 
 class _DistortionConditional:
-    """Per-source-type cache of one random codeword's (score, distortion) law."""
+    """One random codeword's (score, distortion) law given the source type."""
 
     def __init__(self, source: Distribution, test_channel: Channel, d: np.ndarray):
         if test_channel.input_size != source.alphabet_size:
@@ -418,11 +451,8 @@ class _DistortionConditional:
                               -np.inf)  # (x_hat, x)
             self.log_q_hat = np.log(self.q_hat)
         self.d = np.asarray(d, dtype=float)
-        self._cache: dict[tuple, tuple] = {}
 
     def law(self, x_counts: tuple[int, ...]):
-        if x_counts in self._cache:
-            return self._cache[x_counts]
         v, lp, dist = np.zeros(1), np.zeros(1), np.zeros(1)
         for x, m in enumerate(x_counts):
             if m == 0:
@@ -430,9 +460,7 @@ class _DistortionConditional:
             gv, glp, gd = _composition_lattice(m, self.g[:, x], self.log_q_hat,
                                                companion=self.d[x, :])
             v, lp, dist = _fold(v, lp, gv, glp, extra_a=dist, extra_b=gd)
-        out = (v, lp, dist)
-        self._cache[x_counts] = out
-        return out
+        return v, lp, dist
 
 
 def _rd_fail_probability(values, log_pmf, dist_totals, budget: float,
@@ -524,15 +552,8 @@ def _rd_materialized(source, cond, d, budget, margin, n, trials, rng, n_m) -> Tr
 
 
 def _rd_conditional(source, cond, budget, margin, n, trials, rng, log_m) -> TrialReport:
-    p = source.probs
-    p_fail_by_type: dict[tuple, float] = {}
-    successes = 0
-    for i in range(trials):
-        gen = rng.substream(i).generator()
-        x = gen.choice(p.size, size=n, p=p)
-        key = tuple(int(c) for c in np.bincount(x, minlength=p.size))
-        if key not in p_fail_by_type:
-            v, lp, dist = cond.law(key)
-            p_fail_by_type[key] = _rd_fail_probability(v, lp, dist, budget, margin, log_m)
-        successes += bool(gen.random() >= p_fail_by_type[key])
-    return _report(successes, trials, rng)
+    def p_cover(key: tuple) -> float:
+        return 1.0 - _rd_fail_probability(*cond.law(key), budget, margin, log_m)
+
+    return _type_trials(trials, rng,
+                        lambda gen, size: gen.multinomial(n, source.probs, size=size), p_cover)

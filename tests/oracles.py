@@ -4,6 +4,7 @@ package's score lattices or type arrays."""
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.special import gammaln
@@ -118,3 +119,88 @@ def source_coding_success(probs, rate: float, n: int, mode: str) -> tuple[float,
                 + sum(c * math.log(p) - math.lgamma(c + 1)
                       for c, p in zip(counts, probs) if c > 0)))
     return math.fsum(terms), gap
+
+
+def _compositions(total: int, parts: int):
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in _compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
+def dmc_exact_success(rows, p_in, rate: float, n: int, decoder: str) -> float:
+    """Exact annealed success probability of random coding over any DMC, by a
+    sum over the sent word's joint (input, output) type.
+
+    Channel entries are read as exact decimals, so a word's likelihood of
+    the output block is an integer over a common denominator D^n, and ties
+    between the sent word and a rival are decided exactly.  Given the output
+    type (m_y), a rival's conditional type C has probability
+    prod_y m_y!/prod_x C[x,y]! prod_x p(x)^C[x,y], whatever the sent word;
+    the sent word's joint type J has probability
+    n!/prod J[x,y]! prod (p(x) W(y|x))^J[x,y].
+
+    ``threshold``: a word passes iff ln P(y|x) - ln P_Y(y) > n*rate; success
+    iff the sent word passes and none of the N_m - 1 rivals does.
+    ``ml``: the sent word has the largest likelihood, ties broken uniformly.
+    With g = P(a rival beats it) and e = P(a rival ties it) that is
+    sum_k C(N_m-1, k) e^k (1-g-e)^(N_m-1-k) / (k+1)
+      = (1-g)^(N_m-1) (1 - (1-q)^N_m) / (N_m q),  q = e / (1-g).
+    """
+    W = [[Fraction(str(float(w))) for w in row] for row in rows]
+    denom = math.lcm(*(w.denominator for row in W for w in row))
+    w_int = [[int(w * denom) for w in row] for row in W]
+    p = [float(v) for v in p_in]
+    k, m = len(W), len(W[0])
+    log_py = [math.log(sum(p[x] * float(W[x][y]) for x in range(k))) for y in range(m)]
+    n_m = codebook_size(rate, n)
+    terms = []
+    for y_counts in _compositions(n, m):
+        # per output symbol: (likelihood factor, rival log-prob, sent log-prob)
+        columns = []
+        for y, m_y in enumerate(y_counts):
+            options = []
+            for c in _compositions(m_y, k):
+                if any(c[x] and p[x] == 0 for x in range(k)):
+                    continue
+                log_multi = math.lgamma(m_y + 1) - sum(math.lgamma(ci + 1) for ci in c)
+                rival = log_multi + sum(ci * math.log(p[x]) for x, ci in enumerate(c) if ci)
+                sent = (rival + sum(ci * math.log(W[x][y]) for x, ci in enumerate(c) if ci)
+                        if all(W[x][y] or not c[x] for x in range(k)) else -math.inf)
+                options.append((math.prod(w_int[x][y] ** ci for x, ci in enumerate(c)),
+                                rival, sent))
+            columns.append(options)
+        log_head = math.lgamma(n + 1) - sum(math.lgamma(m_y + 1) for m_y in y_counts)
+        rival_mass, sent_mass = {}, {}
+        for combo in itertools.product(*columns):
+            lik = math.prod(o[0] for o in combo)
+            rival_mass.setdefault(lik, []).append(math.exp(sum(o[1] for o in combo)))
+            sent = sum(o[2] for o in combo)
+            if sent > -math.inf:
+                sent_mass.setdefault(lik, []).append(math.exp(log_head + sent))
+        liks = sorted(rival_mass, reverse=True)
+        # a word passes iff ln(lik) > t
+        t = n * rate + n * math.log(denom) + sum(m_y * l for m_y, l in zip(y_counts, log_py))
+        if decoder == "threshold":
+            gaps = [abs(math.log(lik) - t) for lik in liks if lik]
+            if gaps and min(gaps) < 1e-9:
+                raise ValueError("a likelihood lies within 1e-9 of the threshold")
+            p_pass = math.fsum(math.fsum(rival_mass[lik]) for lik in liks
+                               if lik and math.log(lik) > t)
+            if p_pass < 1.0:
+                win = math.exp((n_m - 1) * math.log1p(-p_pass))
+                terms += [win * math.fsum(mass) for lik, mass in sent_mass.items()
+                          if math.log(lik) > t]
+            continue
+        g = 0.0  # rival mass of strictly larger likelihoods
+        for lik in liks:
+            e = math.fsum(rival_mass[lik])
+            if lik in sent_mass and g < 1.0:
+                q = e / (1.0 - g)
+                covered = -math.expm1(n_m * math.log1p(-q)) if q < 1.0 else 1.0
+                win = math.exp((n_m - 1) * math.log1p(-g)) * covered / (n_m * q)
+                terms.append(win * math.fsum(sent_mass[lik]))
+            g += e
+    return math.fsum(terms)

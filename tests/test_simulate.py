@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ptshannon import (
     Channel,
@@ -25,9 +27,29 @@ from ptshannon import (
     uniform_distribution,
 )
 from ptshannon.errors import CodebookTooLarge, DegenerateMarginal
-from ptshannon.simulate import _log_pow_one_minus
+from ptshannon.simulate import TRIAL_BLOCK, _log_pow_one_minus
 
-from oracles import binary_rd_success, bsc_exact_success
+from oracles import binary_rd_success, bsc_exact_success, dmc_exact_success
+
+# asymmetric channel whose output marginal is far from uniform
+ASYM_ROWS = [[0.8, 0.15, 0.05], [0.2, 0.7, 0.1], [0.3, 0.3, 0.4]]
+ASYM_INPUT = [0.6, 0.3, 0.1]
+# (channel, input, largest n drawn) for the property tests
+SMALL_CHANNELS = {
+    "bsc": (binary_symmetric_channel(0.11), uniform_distribution(2), 30),
+    "3x3": (Channel(np.array(ASYM_ROWS)), make_distribution(ASYM_INPUT), 12),
+}
+
+
+@st.composite
+def small_channel_runs(draw, rates: int = 1):
+    """A small channel, a block length, ``rates`` sorted rates with at least
+    two codewords each, and a seed."""
+    ch, p_in, n_max = SMALL_CHANNELS[draw(st.sampled_from(sorted(SMALL_CHANNELS)))]
+    n = draw(st.integers(4, n_max))
+    rate_list = sorted(draw(st.lists(st.floats(0.7 / n, 0.6), min_size=rates,
+                                     max_size=rates)))
+    return ch, p_in, n, rate_list, draw(st.integers(0, 2**32))
 
 
 # --- source coding ------------------------------------------------------------------
@@ -94,14 +116,84 @@ def test_channel_paths_match_exact_oracle():
 def test_channel_threshold_paths_agree_with_nonuniform_output():
     """Asymmetric channel whose output marginal is far from uniform, so the
     ln P_Y(y) term of the information ratio moves the threshold per block."""
-    ch = Channel(np.array([[0.8, 0.15, 0.05], [0.2, 0.7, 0.1], [0.3, 0.3, 0.4]]))
-    p_in = make_distribution([0.6, 0.3, 0.1])
+    ch = Channel(np.array(ASYM_ROWS))
+    p_in = make_distribution(ASYM_INPUT)
     a, b = (simulate_channel_coding(ch, p_in, 0.2, 12, 2000, "threshold",
                                     RngStream(5), method=method)
             for method in ("materialize", "conditional"))
     noise = 3 * math.hypot(a.ci95_halfwidth, b.ci95_halfwidth) / 1.96
     assert abs(a.p_hat - b.p_hat) <= noise
     assert 0.2 < a.p_hat < 0.8  # the threshold decides a real fraction
+
+
+def test_dmc_oracle_reduces_to_bsc_oracle():
+    for n, rate in ((10, 0.3), (18, 0.35)):
+        for decoder in ("threshold", "ml"):
+            assert dmc_exact_success([[0.89, 0.11], [0.11, 0.89]], [0.5, 0.5], rate, n,
+                                     decoder) == pytest.approx(
+                bsc_exact_success(n, rate, 0.11, decoder), rel=1e-12)
+
+
+def test_channel_paths_match_exact_dmc_oracle():
+    """Both paths of both decoders on the asymmetric channel, against the
+    exact joint-type sum."""
+    ch, p_in = Channel(np.array(ASYM_ROWS)), make_distribution(ASYM_INPUT)
+    n, rate, trials = 12, 0.2, 2000
+    for decoder in ("threshold", "ml"):
+        exact = dmc_exact_success(ASYM_ROWS, ASYM_INPUT, rate, n, decoder)
+        assert 0.2 < exact < 0.8
+        sigma = math.sqrt(exact * (1 - exact) / trials)
+        for method in ("materialize", "conditional"):
+            rep = simulate_channel_coding(ch, p_in, rate, n, trials, decoder,
+                                          RngStream(5), method=method)
+            assert abs(rep.p_hat - exact) <= 3 * sigma, (decoder, method)
+
+
+@given(small_channel_runs())
+def test_channel_ml_dominates_threshold_on_same_draws(run):
+    """Both decoders see the same types and uniforms, and a type that the
+    threshold decoder gets right is won by ML, so the counts are ordered."""
+    ch, p_in, n, (rate,), seed = run
+    thr, ml = (simulate_channel_coding(ch, p_in, rate, n, 300, decoder, RngStream(seed),
+                                       method="conditional")
+               for decoder in ("threshold", "ml"))
+    assert ml.successes >= thr.successes
+
+
+@given(small_channel_runs(rates=3))
+def test_channel_ml_successes_never_increase_with_rate(run):
+    """The draws do not depend on the rate, and more rivals never help ML.
+    (The threshold decoder has no such order: its threshold rises too.)"""
+    ch, p_in, n, rates, seed = run
+    counts = [simulate_channel_coding(ch, p_in, rate, n, 300, "ml", RngStream(seed),
+                                      method="conditional").successes for rate in rates]
+    assert counts == sorted(counts, reverse=True)
+
+
+def _run_kind(kind: str, trials: int, seed: int):
+    if kind == "source":
+        setup = SourceCodingSetup(make_distribution([0.5, 0.3, 0.2]), 1.0, 30)
+        return simulate_source_coding(setup, trials, RngStream(seed))
+    if kind == "channel":
+        return simulate_channel_coding(binary_symmetric_channel(0.11), uniform_distribution(2),
+                                       0.3, 16, trials, "ml", RngStream(seed),
+                                       method="conditional")
+    return simulate_rate_distortion(uniform_distribution(2), binary_symmetric_channel(0.15),
+                                    hamming_distortion(2), 0.15, 0.28, 20, trials,
+                                    RngStream(seed), method="conditional")
+
+
+@given(st.sampled_from(("source", "channel", "rd")), st.integers(1, 2 * TRIAL_BLOCK),
+       st.integers(0, 2**32))
+@example("source", TRIAL_BLOCK, 0)
+@example("channel", TRIAL_BLOCK, 0)
+@example("rd", TRIAL_BLOCK, 0)
+def test_trial_outcome_fixed_by_seed_and_index(kind, trials, seed):
+    """Trial i's outcome is fixed by (seed, i), so one more trial changes the
+    count by that trial's own outcome only, also across a block boundary."""
+    step = (_run_kind(kind, trials + 1, seed).successes
+            - _run_kind(kind, trials, seed).successes)
+    assert step in (0, 1)
 
 
 def test_channel_noiseless_collision_rate():
