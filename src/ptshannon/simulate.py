@@ -400,7 +400,7 @@ def _channel_conditional(channel, input_dist, rate, n, trials, decoder, rng, log
         lat = cond.lattice(tuple(int(c) for c in y_counts))
         s_true = cond.true_score(joint_counts)
         if decoder == "ml":
-            return _ml_win_probability(lat, s_true, log_m)
+            return _ml_win_probability(lat, s_true, log_m, log_rivals)
         # the sent word passes, and none of the N_m - 1 rivals does
         thresh = n * rate + float(_masked_dot(y_counts[None, :], cond.log_p_out)[0])
         if not s_true > thresh:
@@ -410,25 +410,27 @@ def _channel_conditional(channel, input_dist, rate, n, trials, decoder, rng, log
     return _type_trials(trials, rng, draw, p_win)
 
 
-def _ml_win_probability(lat: _Lattice, s_true: float, log_nm: float) -> float:
+def _ml_win_probability(lat: _Lattice, s_true: float, log_nm: float,
+                        log_rivals: float) -> float:
     """Chance that the transmitted word wins the argmax with uniform
-    tie-break: [(1-p_gt)^Nm - (1-p_gt-p_eq)^Nm] / (Nm * p_eq)."""
+    tie-break against N_m - 1 rivals.  With g = P(a rival scores higher) and
+    e = P(a rival ties), summing over the number k of tying rivals,
+
+        sum_k C(N_m-1, k) e^k (1-g-e)^(N_m-1-k) / (k+1)
+          = (1-g)^(N_m-1) (1 - (1-q)^N_m) / (N_m q),   q = e / (1-g).
+
+    The last factor is 1 - O(N_m q), so it is 1 to double precision once
+    N_m q < e^-30; above that both of its parts are computed from ln q
+    without cancellation."""
     log_gt = lat.log_tail_gt(s_true)
-    log_eq = lat.log_mass_eq(s_true)
-    log_x = _log_pow_one_minus(log_gt, log_nm)
-    if log_x == -math.inf:
+    log_win = _log_pow_one_minus(log_gt, log_rivals)
+    if log_win == -math.inf:
         return 0.0
-    if log_eq == -math.inf:
-        return math.exp(log_x)
-    log_b = log_nm + log_eq
-    if log_b < -30.0:
-        return math.exp(log_x)
-    log_y = _log_pow_one_minus(np.logaddexp(log_gt, log_eq), log_nm)
-    d_l = log_y - log_x
-    frac = -math.expm1(d_l) if d_l > -700.0 else 1.0
-    if frac <= 0.0:
-        return math.exp(log_x)
-    return math.exp(log_x + math.log(frac) - log_b)
+    log_q = lat.log_mass_eq(s_true) - _log_pow_one_minus(log_gt, 0.0)
+    if log_nm + log_q < -30.0:
+        return math.exp(log_win)
+    covered = -math.expm1(_log_pow_one_minus(log_q, log_nm))
+    return math.exp(log_win + math.log(covered) - log_nm - log_q)
 
 
 # --- rate-distortion --------------------------------------------------------------

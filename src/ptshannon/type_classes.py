@@ -267,32 +267,6 @@ def conditional_class_size_int(joint: JointSequenceType) -> int:
     return math.prod(multinomial_int(row) for row in joint.counts)
 
 
-def enumerate_conditional_class(joint: JointSequenceType) -> Iterator[np.ndarray]:
-    """All y-sequences realizing the joint type against the canonical
-    x-sequence (symbols sorted ascending).  Exponential; guarded."""
-    size = conditional_class_size_int(joint)
-    if size > ENUMERATION_GUARD:
-        raise InstanceTooLarge(f"conditional class has {size} members")
-    from itertools import permutations
-
-    nx, ny = joint.shape
-    blocks = []
-    for x in range(nx):
-        row = joint.counts[x]
-        block = []
-        for y in range(ny):
-            block.extend([y] * row[y])
-        blocks.append(block)
-    seen_per_block = [sorted(set(permutations(b))) for b in blocks]
-    def rec(i, prefix):
-        if i == nx:
-            yield np.asarray([s for blk in prefix for s in blk], dtype=np.int64)
-            return
-        for perm in seen_per_block[i]:
-            yield from rec(i + 1, prefix + [perm])
-    yield from rec(0, [])
-
-
 @dataclass(frozen=True)
 class TypeCountReport:
     """Exact integers behind the chain-rule counting identities."""

@@ -1,6 +1,13 @@
 """Acceptance suite: one test per verification criterion, each printing a
 pass/fail line with its measured numbers.
 
+A01-A06 and A08 are computed in one place, ``ptshannon.claims``, whose rows
+the CLI ``claims`` subcommand also writes.  Here ``claims.run_all`` runs
+once per module; each of those tests asserts that its rows (``CLAIM_ROWS``)
+are present and pass, and checks the rows' references against values
+computed here or in ``oracles.py`` without the package.  A07 and A09-A11
+exercise the simulators, solvers and CLI directly.
+
 Two checks compare against finite-n targets rather than the asymptotic ones:
 
 * A06b: the sequence-level smoothed-delta sum carries the class-size ratio
@@ -26,11 +33,29 @@ import pytest
 from scipy.special import erfc
 
 import ptshannon as pt
-from ptshannon import RngStream
+from ptshannon import RngStream, claims
 
-from oracles import bsc_exact_success, smoothed_delta_sequence_sum
+from oracles import bsc_exact_success, smoothed_delta_sequence_sum, source_coding_success
 
 LN2 = math.log(2.0)
+
+# criterion -> the claims rows that decide it
+CLAIM_ROWS = {
+    "A01": ("type_partition_count", "type_partition_prob"),
+    "A02": ("stirling_rel_error", "stirling_monotone_decrease"),
+    "A03": ("type_density_ratio",),
+    "A04": ("chain_rule_class_count", "chain_rule_sequence_count",
+            "conditional_class_count"),
+    "A05": ("dirichlet_all_ones", "dirichlet_beta", "simplex_gaussian_vs_quadrature",
+            "simplex_gaussian_matrix_diag", "conditional_gaussian_single_block",
+            "conditional_gaussian_block_product", "conditional_gaussian_vs_quadrature",
+            "sherman_morrison_inverse", "matrix_determinant_lemma",
+            "det_first_order_eps_halving"),
+    "A06a": ("smoothed_delta_continuous",),
+    "A06b": ("smoothed_delta_type_sum", "smoothed_delta_sequence_sum"),
+    "A08": ("saddle_composition_identity", "saddle_integral_vs_exact_sum",
+            "saddle_error_shrinks_with_n", "saddle_fidelity"),
+}
 
 
 def check(name: str, ok: bool, detail: str) -> bool:
@@ -38,164 +63,125 @@ def check(name: str, ok: bool, detail: str) -> bool:
     return ok
 
 
+@pytest.fixture(scope="module")
+def battery():
+    """check name -> {detail: (value, reference, tolerance, status)}."""
+    out = {}
+    for name, detail, value, reference, _, tol, status in claims.run_all({}, RngStream(0)):
+        assert detail not in out.setdefault(name, {}), f"duplicate row {name} {detail}"
+        out[name][detail] = (value, reference, tol, status)
+    return out
+
+
+def claim_rows(battery, a_id: str) -> dict:
+    """The rows of one criterion, asserted present and passing."""
+    rows = {name: battery.get(name, {}) for name in CLAIM_ROWS[a_id]}
+    missing = [name for name, by_detail in rows.items() if not by_detail]
+    failed = [f"{name} {detail}: {row}" for name, by_detail in rows.items()
+              for detail, row in by_detail.items() if row[3] != "pass"]
+    count = sum(map(len, rows.values()))
+    assert check(a_id, not missing and not failed,
+                 f"{count} rows; missing {missing}; failed {failed}")
+    return rows
+
+
+def params(detail: str) -> dict:
+    return dict(kv.split("=", 1) for kv in detail.split(",") if "=" in kv)
+
+
+def test_every_claims_row_has_one_criterion(battery):
+    names = [name for rows in CLAIM_ROWS.values() for name in rows]
+    assert len(names) == len(set(names))
+    assert set(battery) == set(names)
+
+
 # --- A01: type-class partition ---------------------------------------------------
 
-def test_A01_type_partition():
-    worst = 0.0
-    sizes_ok = True
-    q_by_n = {2: pt.make_distribution([0.9, 0.1]),
-              3: pt.make_distribution([0.5, 0.3, 0.2])}
-    for N in (2, 3):
-        for n in range(1, 15):
-            total = 0
-            prob = 0.0
-            for t in pt.enumerate_types(N, n):
-                size = pt.class_size_int(t)
-                total += size
-                prob += size * math.exp(pt.iid_type_probability(t, q_by_n[N]))
-            sizes_ok &= (total == N**n)
-            worst = max(worst, abs(prob - 1.0))
-    ok = sizes_ok and worst <= 1e-12
-    assert check("A01 type partition",
-                 ok, f"exact size sums {'ok' if sizes_ok else 'BROKEN'}, "
-                     f"max |prob sum - 1| = {worst:.2e} (tol 1e-12)")
+def test_A01_type_partition(battery):
+    rows = claim_rows(battery, "A01")
+    grid = {(N, n) for N in (2, 3) for n in range(1, 15)}
+    for name in CLAIM_ROWS["A01"]:
+        assert {(int(params(d)["N"]), int(params(d)["n"])) for d in rows[name]} == grid
+    for detail, (value, reference, tol, _) in rows["type_partition_count"].items():
+        p = params(detail)
+        assert value == reference == int(p["N"]) ** int(p["n"]) and tol == 0.0
+    assert all(row[1] == 1.0 and row[2] <= 1e-12
+               for row in rows["type_partition_prob"].values())
 
 
 # --- A02: Stirling class-size estimate ---------------------------------------------
 
-def test_A02_stirling_class_size():
-    errs = []
-    for n in range(20, 201, 20):
-        cs = pt.class_size(pt.SequenceType((n // 2, n // 2), n))
-        errs.append(abs(math.expm1(cs.stirling_log - cs.exact_log)))
-    at_100 = errs[4]
-    monotone = all(a > b for a, b in zip(errs, errs[1:]))
-    ok = at_100 < 0.01 and monotone
-    assert check("A02 Stirling class size",
-                 ok, f"rel err at n=100: {at_100:.4%} (tol 1%), "
-                     f"strictly decreasing: {monotone}")
+def test_A02_stirling_class_size(battery):
+    rows = claim_rows(battery, "A02")
+    (rel, _, tol, _), = rows["stirling_rel_error"].values()
+    assert list(rows["stirling_rel_error"]) == ["n=100"] and rel < 0.01 and tol <= 0.01
+    assert list(rows["stirling_monotone_decrease"]) == ["n=20..200 step 20"]
 
 
 # --- A03: type-count density ---------------------------------------------------------
 
-def test_A03_type_count_density():
-    ok = True
-    worst = ""
-    for N in (2, 3):
-        for n in (50, 80, 100, 200, 400, 1000):
-            ratio = pt.count_types(N, n) / (n ** (N - 1) / math.factorial(N - 1))
-            if not (1.0 <= ratio <= 1.0 + 3.0 * N / n):
-                ok = False
-                worst = f" violation at N={N}, n={n}: {ratio}"
-    assert check("A03 type-count density", ok,
-                 f"ratios within [1, 1+3N/n] for N in {{2,3}}, n >= 50{worst}")
+def test_A03_type_count_density(battery):
+    rows = claim_rows(battery, "A03")["type_density_ratio"]
+    grid = {(N, n) for N in (2, 3) for n in (50, 80, 100, 200, 400, 1000)}
+    assert {(int(params(d)["N"]), int(params(d)["n"])) for d in rows} == grid
+    for detail, (ratio, _, _, _) in rows.items():
+        N, n = int(params(detail)["N"]), int(params(detail)["n"])
+        exact = math.comb(n + N - 1, N - 1) * math.factorial(N - 1) / n ** (N - 1)
+        assert ratio == pytest.approx(exact, rel=1e-12)
+        assert 1.0 <= ratio <= 1.0 + 3.0 * N / n
 
 
 # --- A04: conditional-type identities -------------------------------------------------
 
-def test_A04_conditional_type_identities():
-    counts_ok = True
-    for n in range(2, 9):
-        rep = pt.type_count_identity_check(2, 2, n)
-        counts_ok &= rep.class_counts_equal and rep.sequence_counts_equal
-    from ptshannon.type_classes import (
-        compositions,
-        conditional_class_size_int,
-        enumerate_conditional_class,
-        JointSequenceType,
-    )
-    ratio_ok = True
-    checked = 0
-    for n in range(2, 9):
-        for flat in compositions(n, 4):
-            jt = JointSequenceType((flat[:2], flat[2:]), n)
-            direct = sum(1 for _ in enumerate_conditional_class(jt))
-            if direct != conditional_class_size_int(jt):
-                ratio_ok = False
-            checked += 1
-    ok = counts_ok and ratio_ok
-    assert check("A04 conditional-type identities", ok,
-                 f"chain-rule counts exact for n<=8: {counts_ok}; "
-                 f"conditional sizes vs enumeration over {checked} joint types: {ratio_ok}")
+def test_A04_conditional_type_identities(battery):
+    """Joint classes number C(n+3, 3) and hold 4^n sequence pairs; against
+    each x-sequence the conditional classes tile {0,1}^n, so summed over the
+    n+1 binary x-types they hold (n+1) 2^n y-sequences."""
+    rows = claim_rows(battery, "A04")
+    expected = {
+        "chain_rule_class_count": lambda n: math.comb(n + 3, 3),
+        "chain_rule_sequence_count": lambda n: 4**n,
+        "conditional_class_count": lambda n: (n + 1) * 2**n,
+    }
+    for name, count in expected.items():
+        assert [int(params(d)["n"]) for d in rows[name]] == list(range(2, 9))
+        for detail, (value, reference, tol, _) in rows[name].items():
+            assert value == reference == count(int(params(detail)["n"])) and tol == 0.0
 
 
 # --- A05: appendix integrals -----------------------------------------------------------
 
-def test_A05_polytope_integrals():
-    dir_ok = all(pt.dirichlet_integral(np.ones(N)) == 1.0 / math.factorial(N - 1)
-                 for N in range(2, 7))
-
-    lam = np.array([1000.0, 1000.0])
-    center = pt.uniform_distribution(2)
-    closed = pt.simplex_gaussian_integral(pt.SimplexGaussian(center, lambdas=lam))
-    t = np.linspace(0, 1, 400_001)
-    quad = float(np.trapezoid(np.exp(-lam[0] * (t - 0.5) ** 2
-                                     - lam[1] * ((1 - t) - 0.5) ** 2), t))
-    quad_ok = abs(closed / quad - 1) <= 1e-3
-
-    mc_ok = True
-    from ptshannon.polytope import simplex_mc_integral
-    for i, N in enumerate((3, 4)):
-        gen = np.random.default_rng(50 + i)
-        lam = gen.uniform(200.0, 500.0, size=N)
-        c = pt.uniform_distribution(N)
-        val = pt.simplex_gaussian_integral(pt.SimplexGaussian(c, lambdas=lam))
-
-        def f(pts, lam=lam, cc=c.probs):
-            return np.exp(-np.sum(lam[None, :] * (pts - cc[None, :]) ** 2, axis=1))
-
-        est, se = simplex_mc_integral(f, N, 250_000, RngStream(60 + i))
-        mc_ok &= abs(est - val) <= 3 * se
-
-    gen = np.random.default_rng(70)
-    sm_ok = det_ok = True
-    for _ in range(100):
-        k = int(gen.integers(2, 6))
-        E = gen.normal(size=(k, k)) + k * np.eye(k)
-        p, q = gen.normal(size=k), gen.normal(size=k)
-        inv, det = pt.sherman_morrison(np.linalg.inv(E), float(np.linalg.det(E)), p, q)
-        A = E + np.outer(p, q)
-        sm_ok &= float(np.max(np.abs(inv @ A - np.eye(k)))) <= 1e-12
-        det_ok &= abs(det - np.linalg.det(A)) <= 1e-10 * abs(np.linalg.det(A))
-
-    A = gen.normal(size=(4, 4))
-    eps = 1e-3
-    e1 = abs(np.linalg.det(np.eye(4) + eps * A) - pt.det_first_order(A, eps))
-    e2 = abs(np.linalg.det(np.eye(4) + eps / 2 * A) - pt.det_first_order(A, eps / 2))
-    ratio_ok = 3.5 <= e1 / e2 <= 4.5
-
-    ok = dir_ok and quad_ok and mc_ok and sm_ok and det_ok and ratio_ok
-    assert check("A05 polytope integrals", ok,
-                 f"dirichlet exact {dir_ok}, quadrature {quad_ok}, mc {mc_ok}, "
-                 f"rank-one {sm_ok and det_ok}, eps-halving ratio {e1/e2:.2f}")
+def test_A05_polytope_integrals(battery):
+    rows = claim_rows(battery, "A05")
+    assert [int(params(d)["N"]) for d in rows["dirichlet_all_ones"]] == list(range(2, 7))
+    for detail, (value, reference, tol, _) in rows["dirichlet_all_ones"].items():
+        assert value == reference == 1.0 / math.factorial(int(params(detail)["N"]) - 1)
+    quad = rows["simplex_gaussian_vs_quadrature"]
+    assert set(quad) == {"N=2,lam=1000:1500,c=0.45", "N=2,lam=1000:1000,c=0.5", "N=3", "N=4"}
+    assert all(row[2] <= (1e-3 if d.startswith("N=2") else 1e-5) for d, row in quad.items())
+    (sm_tol,) = [row[2] for row in rows["sherman_morrison_inverse"].values()]
+    (det_tol,) = [row[2] for row in rows["matrix_determinant_lemma"].values()]
+    assert sm_tol <= 1e-12 and det_tol <= 1e-10
 
 
 # --- A06: smoothed-delta normalization ---------------------------------------------------
 
-def _delta_report():
-    return pt.smoothed_delta_normalization(
-        pt.SmoothedDelta(0.05, pt.SequenceType((100, 100), 200)),
-        pt.uniform_distribution(2))
+def test_A06a_smoothed_delta_continuous(battery):
+    rows = claim_rows(battery, "A06a")
+    assert {d: row[1:3] for d, row in rows["smoothed_delta_continuous"].items()} == {
+        "n=200,eps=0.05": (1.0, 1e-6)}
 
 
-def test_A06a_smoothed_delta_continuous():
-    rep = _delta_report()
-    ok = abs(rep.continuous_value - 1.0) <= 1e-6
-    assert check("A06a smoothed delta, continuous form", ok,
-                 f"integral/V_eps = {rep.continuous_value:.9f} (tol 1e-6)")
-
-
-def test_A06b_smoothed_delta_discrete():
-    rep = _delta_report()
+def test_A06b_smoothed_delta_discrete(battery):
+    rows = claim_rows(battery, "A06b")
+    (value, reference, tol, _), = rows["smoothed_delta_sequence_sum"].values()
     closed = smoothed_delta_sequence_sum(200, 0.05, 2)
-    rel = abs(rep.sequence_sum / closed - 1.0)
-    ok = rel <= 1e-3 and abs(rep.type_sum - 1.0) <= 1e-6
-    assert check(
-        "A06b smoothed delta, discrete sum", ok,
-        f"sum over sequences = {rep.sequence_sum:.4f}, closed form "
-        f"(lam0/(lam0 + nN/4))^((N-1)/2) = {closed:.4f}, rel err {rel:.1e} "
-        f"(tol 1e-3); lattice discretization of the continuous form = "
-        f"{rep.type_sum:.6f} (tol 1e-6)")
+    assert reference == pytest.approx(closed, rel=1e-12) and tol <= 1e-3 * closed
+    (type_sum, _, type_tol, _), = rows["smoothed_delta_type_sum"].values()
+    assert type_tol <= 1e-6
+    print(f"sum over sequences = {value:.4f}, closed form "
+          f"(lam0/(lam0 + nN/4))^((N-1)/2) = {closed:.4f}; lattice discretization "
+          f"of the continuous form = {type_sum:.12f}")
 
 
 # --- A07: lossless source coding ----------------------------------------------------------
@@ -222,16 +208,14 @@ def test_A07_source_coding_step():
 
 # --- A08: saddle fidelity --------------------------------------------------------------------
 
-def test_A08_saddle_fidelity():
-    q = pt.make_distribution([0.9, 0.1])
-    c = -np.log(q.probs)
-    rate = pt.entropy(q) - 0.05
-    est = pt.constrained_sum_estimate(q, (c, rate), 400)
-    exact = pt.source_coding_exact_psuc(pt.SourceCodingSetup(q, rate, 400))
-    gap = abs(est - math.log(exact) / 400)
-    ok = gap <= 0.02
-    assert check("A08 saddle fidelity", ok,
-                 f"|estimate - (1/n) ln exact| = {gap:.4f} nats (tol 0.02)")
+def test_A08_saddle_fidelity(battery):
+    rows = claim_rows(battery, "A08")
+    (estimate, reference, tol, _), = rows["saddle_fidelity"].values()
+    q = [0.9, 0.1]
+    rate = -sum(p * math.log(p) for p in q) - 0.05
+    exact, _ = source_coding_success(q, rate, 400, "source-dependent")
+    assert reference == pytest.approx(math.log(exact) / 400, rel=1e-9) and tol <= 0.02
+    print(f"|estimate - (1/n) ln exact| = {abs(estimate - reference):.4f} nats (tol 0.02)")
 
 
 # --- A09: channel coding ----------------------------------------------------------------------
@@ -336,8 +320,7 @@ def test_A11_cli_determinism(tmp_path):
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "b.csv")]) == 0
     same = (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
-    doc2 = {"kind": "claims", "parameters": {"partition_max_n": 6, "mc_samples": 30_000,
-                                             "delta_n": 120},
+    doc2 = {"kind": "claims", "parameters": {"partition_max_n": 6, "delta_n": 120},
             "output_path": str(tmp_path / "c1.csv"), "seed": 7}
     cfg2 = tmp_path / "cfg2.json"
     cfg2.write_text(json.dumps(doc2))

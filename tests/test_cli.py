@@ -40,6 +40,41 @@ def test_instance_too_large_surfaced(tmp_path, capsys):
     assert "type_partition" in capsys.readouterr().err
 
 
+def test_conditional_class_guard_checked_before_compute(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json",
+                       {"kind": "claims", "parameters": {"chain_rule_max_n": 40},
+                        "output_path": str(tmp_path / "o.csv"), "seed": 1})
+    assert main(["claims", "--config", cfg]) == 2
+    assert "conditional_class_count" in capsys.readouterr().err
+
+
+def test_unknown_parameter_rejected(tmp_path, capsys):
+    """A misspelt key (delta_N for delta_n) is a config error, not a silent
+    run at the default."""
+    out = tmp_path / "o.csv"
+    cfg = write_config(tmp_path / "c.json",
+                       {"kind": "claims", "parameters": {"delta_N": 50},
+                        "output_path": str(out), "seed": 1})
+    assert main(["claims", "--config", cfg]) == 2
+    assert "delta_N" in capsys.readouterr().err
+    assert not out.exists()
+    # claims keys are not integrals keys, so each subcommand takes only its own kind
+    cfg = write_config(tmp_path / "c.json",
+                       {"kind": "claims", "parameters": {"partition_max_n": 6},
+                        "output_path": str(out), "seed": 1})
+    assert main(["integrals", "--config", cfg]) == 2
+
+
+def test_bits_flag_only_where_it_applies(tmp_path):
+    cfg = write_config(tmp_path / "c.json",
+                       {"kind": "integrals", "parameters": {},
+                        "output_path": str(tmp_path / "o.csv"), "seed": 1})
+    for command in ("claims", "integrals"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, "--bits"])
+        assert exc.value.code == 2
+
+
 def test_capacity_subcommand(tmp_path):
     out = tmp_path / "cap.csv"
     cfg = write_config(tmp_path / "c.json",
@@ -135,8 +170,7 @@ def test_claims_run_passes_and_reports_info(tmp_path):
     out = tmp_path / "claims.csv"
     cfg = write_config(tmp_path / "c.json",
                        {"kind": "claims",
-                        "parameters": {"partition_max_n": 8, "mc_samples": 40000,
-                                       "delta_n": 150},
+                        "parameters": {"partition_max_n": 8, "delta_n": 150},
                         "output_path": str(out), "seed": 321})
     assert main(["claims", "--config", cfg]) == 0
     text = out.read_text()
@@ -150,7 +184,7 @@ def test_claims_run_passes_and_reports_info(tmp_path):
 def test_integrals_subcommand(tmp_path):
     out = tmp_path / "ints.csv"
     cfg = write_config(tmp_path / "c.json",
-                       {"kind": "integrals", "parameters": {"mc_samples": 40000},
+                       {"kind": "integrals", "parameters": {},
                         "output_path": str(out), "seed": 321})
     assert main(["integrals", "--config", cfg]) == 0
     text = out.read_text()

@@ -27,7 +27,7 @@ from ptshannon import (
     uniform_distribution,
 )
 from ptshannon.errors import CodebookTooLarge, DegenerateMarginal
-from ptshannon.simulate import TRIAL_BLOCK, _log_pow_one_minus
+from ptshannon.simulate import TRIAL_BLOCK, _Lattice, _log_pow_one_minus, _ml_win_probability
 
 from oracles import binary_rd_success, bsc_exact_success, dmc_exact_success
 
@@ -356,6 +356,40 @@ def test_log_pow_one_minus_edges():
     assert _log_pow_one_minus(-1.0, 800.0) == -math.inf
     assert _log_pow_one_minus(-40.0, 800.0) == -math.inf
     assert _log_pow_one_minus(-1000.0, 800.0) == -math.exp(-200.0)
+
+
+def _tie_lattice(g: float, e: float) -> _Lattice:
+    """Rival scores 0, 1, 2 with masses 1 - g - e, e, g: a sent score of 1
+    is beaten with probability g and tied with probability e."""
+    return _Lattice(np.array([0.0, 1.0, 2.0]), np.log([1.0 - g - e, e, g]))
+
+
+def _ml_win_sum(n_m: int, g: float, e: float) -> float:
+    """sum_k C(N_m-1, k) e^k (1-g-e)^(N_m-1-k) / (k+1) over the number k of
+    tying rivals; the terms past k = 3 are below 1e-40 here."""
+    return math.fsum(math.comb(n_m - 1, k) * e**k * (1 - g - e) ** (n_m - 1 - k) / (k + 1)
+                     for k in range(min(n_m, 4)))
+
+
+def test_ml_win_probability_counts_rivals_not_codewords():
+    """With ties negligible the sent word wins iff none of its N_m - 1
+    rivals scores higher: (1 - g)^(N_m - 1) = 1/2 here, not (1 - g)^N_m."""
+    lat = _tie_lattice(0.5, math.exp(-40.0))
+    assert _ml_win_probability(lat, 1.0, math.log(2), 0.0) == pytest.approx(0.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("n_m, g", [(2, 0.5), (1000, 1e-3)])
+def test_ml_win_probability_continuous_at_tie_cutoff(n_m, g):
+    """The tie factor is dropped once N_m e / (1 - g) < e^-30; just above
+    and just below that switch the win probability agrees with itself and
+    with the direct sum over tying rivals."""
+    vals = []
+    for step in (-1e-9, 1e-9):
+        e = (1 - g) * math.exp(-30.0 + step) / n_m
+        val = _ml_win_probability(_tie_lattice(g, e), 1.0, math.log(n_m), math.log(n_m - 1))
+        assert val == pytest.approx(_ml_win_sum(n_m, g, e), rel=1e-12)
+        vals.append(val)
+    assert vals[0] == pytest.approx(vals[1], rel=1e-9)
 
 
 def test_rd_margin_sensitive_regime_paths_agree():
