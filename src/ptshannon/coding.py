@@ -21,7 +21,7 @@ from scipy.special import erfc, gammaln
 
 from .alphabet import Channel, Distribution, JointDistribution, joint_from
 from .errors import CodebookTooLarge, InstanceTooLarge, UndefinedRatio
-from .info_measures import entropy, mutual_information, rate_distortion
+from .info_measures import entropy, rate_distortion
 from .type_classes import count_types, type_array
 
 EXACT_TYPE_GUARD = 2 * 10**6
@@ -73,42 +73,41 @@ class SourceCodingSetup:
         if self.mode not in (SOURCE_DEPENDENT, UNIVERSAL):
             raise ValueError(f"unknown mode {self.mode!r}")
 
+    def encodable(self, counts: np.ndarray) -> np.ndarray:
+        """Whether the set encoder accepts a block of each type, one type per
+        row of counts: sum_x T(x) ln(1/Q(x)) <= R, with Q the source
+        (source-dependent mode) or T itself (universal mode, H(T) <= R).  A
+        count on a symbol the source never emits costs +inf in
+        source-dependent mode."""
+        types = np.asarray(counts) / self.n
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_q = np.log(self.source.probs if self.mode == SOURCE_DEPENDENT else types)
+            cost = -np.where(types > 0, types * log_q, 0.0).sum(axis=1)
+        return cost <= self.rate
+
 
 def source_coding_exact_psuc(setup: SourceCodingSetup) -> float:
     """Exact success probability of the fixed-rate set encoder.
 
-    A sequence is encodable iff its type T satisfies
-    sum_x T(x) ln(1/Q(x)) <= R, with Q the source (source-dependent mode) or
-    T itself (universal mode, i.e. H(T) <= R).  The success probability is
-    the exact lattice sum of class_size * sequence probability over the
-    encodable types, taken over the count vectors of `type_array`.  The
-    number of types is compared with EXACT_TYPE_GUARD before any is
-    enumerated.
+    A sequence is encodable iff its type passes `SourceCodingSetup.encodable`.
+    The success probability is the exact lattice sum of class_size *
+    sequence probability over the encodable types, taken over the count
+    vectors of `type_array`.  The number of types is compared with
+    EXACT_TYPE_GUARD before any is enumerated.
     """
     p = setup.source.probs
-    n, R = setup.n, setup.rate
+    n = setup.n
     n_types = count_types(p.size, n)
     if n_types > EXACT_TYPE_GUARD:
         raise InstanceTooLarge(f"{n_types} types exceeds the enumeration guard")
 
     counts = type_array(p.size, n)
-    support = p > 0
-    if not support.all():
-        # a type with counts off the support has probability 0; the rest
-        # are types over the support
-        counts = counts[(counts[:, ~support] == 0).all(axis=1)][:, support]
-        p = p[support]
-    types = counts / n
+    counts = counts[setup.encodable(counts)]
     log_binom = gammaln(n + 1) - gammaln(counts + 1).sum(axis=1)
-    log_p = np.log(p)
-
-    if setup.mode == SOURCE_DEPENDENT:
-        cost = -types @ log_p
-    else:
-        cost = -np.sum(np.where(types > 0, types * np.log(np.where(types > 0, types, 1.0)), 0.0), axis=1)
-    log_prob = n * types @ log_p
-    member = cost <= R
-    return float(np.exp(log_binom[member] + log_prob[member]).sum())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a type with a count off the source's support has probability 0
+        log_prob = np.where(counts > 0, counts * np.log(p), 0.0).sum(axis=1)
+    return float(np.exp(log_binom + log_prob).sum())
 
 
 def source_coding_asymptote(setup: SourceCodingSetup) -> int:

@@ -19,13 +19,20 @@ from scipy.special import gammaln
 from .alphabet import Distribution, RngStream
 from .errors import (
     DimensionMismatch,
+    InstanceTooLarge,
     LambdaTooSmall,
     NonPositiveExponent,
     PeakNearBoundary,
     SingularMatrix,
     SingularUpdate,
 )
-from .type_classes import SequenceType, enumerate_types, log_multinomial
+from .type_classes import (
+    ENUMERATION_GUARD,
+    SequenceType,
+    count_types,
+    log_multinomial,
+    type_array,
+)
 
 LAMBDA_MIN = 10.0
 BOUNDARY_SIGMAS = 3.0
@@ -219,6 +226,9 @@ def smoothed_delta_normalization(delta: SmoothedDelta, q: Distribution) -> Smoot
     """
     ref = delta.reference_class
     n, N = ref.n, ref.alphabet_size
+    n_types = count_types(N, n)
+    if n_types > ENUMERATION_GUARD:
+        raise InstanceTooLarge(f"{n_types} types exceeds the enumeration guard")
     eps = delta.epsilon
     sigma = eps / math.sqrt(2.0)
     if float(min(ref.as_distribution().probs.min(), q.probs.min())) < BOUNDARY_SIGMAS * sigma:
@@ -230,17 +240,15 @@ def smoothed_delta_normalization(delta: SmoothedDelta, q: Distribution) -> Smoot
     continuous = simplex_gaussian_integral(SimplexGaussian(q, lambdas=lam))
     continuous /= simplex_patch_volume(eps, q.alphabet_size)
 
+    counts = type_array(N, n)
     t_ref = np.asarray(ref.counts, dtype=float) / n
+    gauss = -((counts / n - t_ref) ** 2).sum(axis=1) / eps ** 2
+    log_d = gammaln(n + 1) - gammaln(counts + 1).sum(axis=1)
     log_d_ref = log_multinomial(ref.counts)
-    seq_sum = 0.0
-    type_sum = 0.0
     v_seq = simplex_patch_volume(n * eps, N)
     v_eps = simplex_patch_volume(eps, N)
-    for t in enumerate_types(N, n):
-        tt = np.asarray(t.counts, dtype=float) / n
-        gauss = -float(np.sum((tt - t_ref) ** 2)) / eps ** 2
-        seq_sum += math.exp(0.5 * (log_multinomial(t.counts) - log_d_ref) + gauss) / v_seq
-        type_sum += math.exp(gauss) / (float(n) ** (N - 1) * v_eps)
+    seq_sum = float(np.exp(0.5 * (log_d - log_d_ref) + gauss).sum()) / v_seq
+    type_sum = float(np.exp(gauss).sum()) / (float(n) ** (N - 1) * v_eps)
     return SmoothedDeltaReport(n, eps, continuous, seq_sum, type_sum)
 
 

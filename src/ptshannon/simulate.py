@@ -8,24 +8,31 @@ simulator draws a reproduction codebook and asks whether some codeword both
 clears the pairwise score margin and meets the distortion budget.
 
 Codebooks have floor(exp(n*rate)) rows.  When that is small enough the
-protocol is simulated literally; beyond the operation guard the simulators
-switch to an exact conditional form: given the transmitted block, the
-competing codewords are i.i.d., so the conditional success probability is a
+protocol is simulated literally (the materialize paths, which draw a
+codebook per trial from substream i).  Beyond the operation guard the
+simulators switch to an exact conditional form: given the block, the
+competing codewords are i.i.d., so the trial's success probability is a
 computable function of the block's type, and one Bernoulli draw per trial
 reproduces the protocol's success distribution without materializing the
 codebook.  Both paths are deterministic given (config, seed) and agree in
 distribution.
 
+Both conditional paths use one score law, :class:`_ScoreLaw`: a rival
+codeword's score (and, for rate-distortion, its distortion) is a sum of
+i.i.d. per-symbol draws whose law depends on the block symbol.  Block
+symbols that induce the same law on a random codeword symbol are pooled,
+so the law is one composition lattice per group of block symbols, folded;
+the sent word's score goes through the same arithmetic, so ties are found
+by exact equality.  Symmetric channels and the binary rate-distortion
+protocol pool into a single O(n) lattice with no branch of their own.
+
 The conditional paths and the source simulator share one trial kernel
-(:func:`_type_trials`): a trial depends on its block only through the
-block's type, so the kernel draws types directly by multinomial sampling,
+(:func:`_type_trials`): it draws types directly by multinomial sampling,
 computes each distinct type's success probability once, and spends one
 uniform per trial.  Trials run in blocks of ``TRIAL_BLOCK``: block b draws
 from substream b, always a full block, so trial i's outcome depends only on
-(seed, i), not on the trial count or on how blocks are scheduled.  The
-materialize paths draw a literal codebook per trial from substream i.
+(seed, i), not on the trial count or on how blocks are scheduled.
 """
-
 from __future__ import annotations
 
 import math
@@ -37,7 +44,6 @@ from scipy.special import gammaln
 from .alphabet import Channel, Distribution, RngStream
 from .coding import (
     MAX_LOG_CODEBOOK,
-    SOURCE_DEPENDENT,
     SourceCodingSetup,
     codebook_size,
     log_codebook_size,
@@ -88,13 +94,11 @@ def _type_trials(trials: int, rng: RngStream, draw_types, p_success) -> TrialRep
     per distinct type -> one Bernoulli per trial.
 
     ``draw_types(gen, size)`` returns ``size`` block types, one integer array
-    per trial; ``p_success(key)`` maps a type, flattened to a tuple of ints,
-    to the trial's success probability and is called once per distinct type.
-    Block b draws TRIAL_BLOCK types and then TRIAL_BLOCK uniforms from
-    substream b and keeps the first rows it needs, so trial i's outcome
-    depends only on (seed, i).
+    per trial; ``p_success(types)`` maps the block's distinct types, one per
+    row, to their success probabilities.  Block b draws TRIAL_BLOCK types
+    and then TRIAL_BLOCK uniforms from substream b and keeps the first rows
+    it needs, so trial i's outcome depends only on (seed, i).
     """
-    memo: dict[tuple, float] = {}
     successes = 0
     for b in range(-(-trials // TRIAL_BLOCK)):
         gen = rng.substream(b).generator()
@@ -102,13 +106,23 @@ def _type_trials(trials: int, rng: RngStream, draw_types, p_success) -> TrialRep
         u = gen.random(TRIAL_BLOCK)
         take = min(TRIAL_BLOCK, trials - b * TRIAL_BLOCK)
         distinct, inverse = np.unique(types[:take], axis=0, return_inverse=True)
-        p = np.empty(len(distinct))
-        for j, key in enumerate(map(tuple, distinct.tolist())):
-            if key not in memo:
-                memo[key] = p_success(key)
-            p[j] = memo[key]
+        p = p_success(distinct)
         successes += int(np.count_nonzero(u[:take] < p[inverse.reshape(-1)]))
     return _report(successes, trials, rng)
+
+
+def _per_type(p_one):
+    """The kernel's ``p_success`` from a function of one type, given as a
+    tuple of ints; it is called once per distinct type over the whole run."""
+    memo: dict[tuple, float] = {}
+
+    def p_success(types: np.ndarray) -> np.ndarray:
+        keys = list(map(tuple, types.tolist()))
+        for key in keys:
+            if key not in memo:
+                memo[key] = p_one(key)
+        return np.array([memo[key] for key in keys])
+    return p_success
 
 
 # --- source coding ------------------------------------------------------------
@@ -118,21 +132,9 @@ def simulate_source_coding(setup: SourceCodingSetup, trials: int, rng: RngStream
     fixed-rate acceptance set."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    p = setup.source.probs
-    with np.errstate(divide="ignore"):
-        neglog = np.where(p > 0, -np.log(p), np.inf)
-
-    def accepted(key: tuple) -> float:
-        counts = np.array(key)
-        if setup.mode == SOURCE_DEPENDENT:
-            cost = float(np.where(counts > 0, counts * neglog, 0.0).sum()) / setup.n
-        else:
-            t = counts[counts > 0] / setup.n
-            cost = float(-(t * np.log(t)).sum())
-        return float(cost <= setup.rate)
-
-    return _type_trials(trials, rng, lambda gen, size: gen.multinomial(setup.n, p, size=size),
-                        accepted)
+    return _type_trials(trials, rng,
+                        lambda gen, size: gen.multinomial(setup.n, setup.source.probs, size=size),
+                        lambda types: setup.encodable(types).astype(float))
 
 
 # --- score lattices -------------------------------------------------------------
@@ -164,36 +166,105 @@ class _Lattice:
         return float(np.logaddexp.reduce(self.log_pmf[lo:hi]))
 
 
-def _composition_lattice(m: int, col_values: np.ndarray, col_logp: np.ndarray,
-                         companion: np.ndarray | None = None):
-    """Distribution of the sum of m i.i.d. draws from a finite value set,
-    enumerated over occupancy vectors with multinomial weights.  The size
-    is checked against the guard before any vector is built."""
-    k = col_values.size
+def _composition_lattice(m: int, values: np.ndarray, log_mass: np.ndarray, extra: np.ndarray):
+    """(score, log-probability, companion) of the sum of m i.i.d. draws from
+    a finite atom set, enumerated over occupancy vectors with multinomial
+    weights.  The size is checked against the guard before any vector is
+    built."""
+    k = values.size
     if count_types(k, m) > LATTICE_GUARD:
         raise CodebookTooLarge("per-group composition lattice exceeds the guard")
     counts = type_array(k, m)
     with np.errstate(invalid="ignore"):
-        logw = np.where(counts > 0, counts * col_logp[None, :], 0.0)
+        logw = np.where(counts > 0, counts * log_mass[None, :], 0.0)
     log_pmf = (gammaln(m + 1) - gammaln(counts + 1).sum(axis=1)) + logw.sum(axis=1)
-    values = _masked_dot(counts, col_values)
-    if companion is None:
-        return values, log_pmf
-    return values, log_pmf, counts @ companion
+    return _masked_dot(counts, values), log_pmf, counts @ extra
 
 
-def _fold(values_a, logp_a, values_b, logp_b, extra_a=None, extra_b=None):
-    """Outer sum of two independent lattices (values add, log-probs add)."""
-    if values_a.size * values_b.size > LATTICE_GUARD:
+def _fold(a: tuple, b: tuple) -> tuple:
+    """Outer sum of two independent (score, log-probability, companion)
+    lattices: every component adds."""
+    if a[0].size * b[0].size > LATTICE_GUARD:
         raise CodebookTooLarge(
             "conditional score lattice exceeds the guard; materialize instead"
         )
-    v = (values_a[:, None] + values_b[None, :]).ravel()
-    lp = (logp_a[:, None] + logp_b[None, :]).ravel()
-    if extra_a is None:
-        return v, lp
-    e = (extra_a[:, None] + extra_b[None, :]).ravel()
-    return v, lp, e
+    return tuple((x[:, None] + y[None, :]).ravel() for x, y in zip(a, b))
+
+
+class _ScoreLaw:
+    """One random codeword's (score, companion) law given the block's type.
+
+    ``g[a, b]`` scores codeword symbol a against block symbol b and may be
+    -inf; ``log_p[a]`` is the codewords' symbol law and ``extra[a, b]`` a
+    companion summed alongside the score (the distortion; 0 for channels).
+    Against block symbol b a random codeword symbol lands on an atom, one
+    distinct (g[a, b], extra[a, b]) pair over the symbols a with p > 0,
+    carrying their summed mass.  Block symbols with the same atom law pool
+    into one group: given the block's type, a codeword's score is a sum over
+    groups of that group's pooled count of i.i.d. atom draws (the method of
+    types, Csiszar, IEEE TIT 44(6), 1998).  A symmetric channel with its
+    capacity input, or the binary rate-distortion protocol with a BSC test
+    channel, pools into one group and an O(n) lattice; a noiseless or
+    erasure column has 2 atoms or 1.
+    """
+
+    def __init__(self, g: np.ndarray, log_p: np.ndarray, extra: np.ndarray):
+        live = np.flatnonzero(log_p > -np.inf)
+        self.group = np.empty(g.shape[1], dtype=np.int64)  # block symbol -> group
+        self.atom = np.zeros(g.shape, dtype=np.int64)  # (a, b) -> atom of b's group
+        self.atoms: list[tuple] = []  # per group: (values, log_mass, extra)
+        groups: dict[tuple, tuple] = {}  # atom law -> (group, its atom order)
+        for b in range(g.shape[1]):
+            pairs = [(float(g[a, b]), float(extra[a, b])) for a in live]
+            atoms = list(dict.fromkeys(pairs))
+            log_mass = [float(np.logaddexp.reduce(log_p[live[[q == atom for q in pairs]]]))
+                        for atom in atoms]
+            law = tuple(sorted(zip(atoms, log_mass)))
+            if law not in groups:
+                groups[law] = (len(self.atoms), atoms)
+                values, extras = map(np.array, zip(*atoms))
+                self.atoms.append((values, np.array(log_mass), extras))
+            self.group[b], order = groups[law]
+            self.atom[live, b] = [order.index(q) for q in pairs]
+        self.member = np.eye(len(self.atoms), dtype=np.int64)[self.group]
+
+    def key(self, col_counts: np.ndarray) -> np.ndarray:
+        """Pooled count per group of each block type (the last axis runs
+        over block symbols)."""
+        return col_counts @ self.member
+
+    def lattice(self, key: tuple[int, ...]) -> tuple:
+        """(score, log-probability, companion) of one random codeword: one
+        composition lattice per group with a positive count, folded."""
+        folded = (np.zeros(1), np.zeros(1), np.zeros(1))
+        for (values, log_mass, extra), m in zip(self.atoms, key):
+            if m:
+                folded = _fold(folded, _composition_lattice(m, values, log_mass, extra))
+        return folded
+
+    def score(self, joint_counts: np.ndarray) -> float:
+        """Score of the word whose joint (codeword, block) type is given,
+        group by group through the lattice's own arithmetic, so exact-equality
+        lookups in the lattice are meaningful."""
+        score = 0.0
+        for j, m in enumerate(self.key(joint_counts.sum(axis=0))):
+            if m:
+                cols = self.group == j
+                values = self.atoms[j][0]
+                counts = np.bincount(self.atom[:, cols].ravel(),
+                                     weights=joint_counts[:, cols].ravel(),
+                                     minlength=values.size)
+                score += float(_masked_dot(counts[None, :], values)[0])
+        return score
+
+
+def _literal_scores(g: np.ndarray, words: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Score of each literal codeword (a row of ``words``) against the block:
+    the sum of g[word_j, block_j], -inf wherever one term is."""
+    picked = g[words, block[None, :]]
+    with np.errstate(invalid="ignore"):
+        return np.where(np.isneginf(picked).any(axis=1), -np.inf,
+                        np.where(np.isfinite(picked), picked, 0.0).sum(axis=1))
 
 
 def _log_pow_one_minus(log_eps: float, log_m: float) -> float:
@@ -217,75 +288,6 @@ def _log_pow_one_minus(log_eps: float, log_m: float) -> float:
 
 
 # --- channel coding -------------------------------------------------------------
-
-def _column_signature(col: np.ndarray, probs: np.ndarray) -> tuple:
-    return tuple(sorted((float(v), float(p)) for v, p in zip(col, probs) if p > 0))
-
-
-class _ChannelConditional:
-    """Per-output-type cache of the competitor score distribution.
-
-    Scores are summed log likelihoods ln P(y|x).  The output-marginal term
-    ln P_Y(y) of the information ratio is common to all codewords, so the
-    threshold decoder adds it to its threshold instead.  When every output
-    symbol induces the same score law on a random input symbol (true for
-    symmetric channels with their capacity input), the per-output groups pool
-    into a single lattice of size O(n).
-    """
-
-    def __init__(self, channel: Channel, input_dist: Distribution):
-        self.rows = channel.rows
-        self.p_in = input_dist.probs
-        with np.errstate(divide="ignore"):
-            self.g = np.where(self.rows > 0, np.log(self.rows), -np.inf)
-            self.log_p_in = np.where(self.p_in > 0, np.log(self.p_in), -np.inf)
-            self.log_p_out = np.log(self.p_in @ self.rows)
-        sig0 = _column_signature(self.g[:, 0], self.p_in)
-        self.mergeable = all(
-            _column_signature(self.g[:, y], self.p_in) == sig0
-            for y in range(1, self.rows.shape[1])
-        )
-        self._cache: dict[tuple, _Lattice] = {}
-
-    def lattice(self, y_counts: tuple[int, ...]) -> _Lattice:
-        key = ("merged", sum(y_counts)) if self.mergeable else y_counts
-        if key in self._cache:
-            return self._cache[key]
-        if self.mergeable:
-            v, lp = _composition_lattice(sum(y_counts), self.g[:, 0], self.log_p_in)
-        else:
-            v, lp = np.zeros(1), np.zeros(1)
-            for y, m in enumerate(y_counts):
-                if m == 0:
-                    continue
-                gv, glp = _composition_lattice(m, self.g[:, y], self.log_p_in)
-                v, lp = _fold(v, lp, gv, glp)
-        lat = _Lattice(v, lp)
-        self._cache[key] = lat
-        return lat
-
-    def true_score(self, joint_counts: np.ndarray) -> float:
-        """Transmitted codeword's score, computed with the same count-vector
-        arithmetic as the lattice so exact-equality lookups are meaningful."""
-        if self.mergeable:
-            base = self.g[:, 0]
-            total = np.zeros(base.size)
-            for y in range(self.rows.shape[1]):
-                col = self.g[:, y]
-                for x in range(self.rows.shape[0]):
-                    c = int(joint_counts[x, y])
-                    if c == 0:
-                        continue
-                    total[int(np.nonzero(base == col[x])[0][0])] += c
-            return float(_masked_dot(total[None, :], base)[0])
-        score = 0.0
-        for y in range(self.rows.shape[1]):
-            counts = joint_counts[:, y].astype(float)
-            if counts.sum() == 0:
-                continue
-            score += float(_masked_dot(counts[None, :], self.g[:, y])[0])
-        return score
-
 
 def simulate_channel_coding(channel: Channel, input_dist: Distribution, rate: float,
                             n: int, trials: int, decoder: str = "threshold",
@@ -348,7 +350,7 @@ def _channel_materialized(channel, input_dist, rate, n, trials, decoder, rng,
     rows = channel.rows
     p_in = input_dist.probs
     with np.errstate(divide="ignore"):
-        log_rows = np.where(rows > 0, np.log(rows), -np.inf)
+        log_rows = np.log(rows)
         log_p_out = np.log(p_in @ rows)
     fixed_words = None
     if not fresh_codebook:
@@ -361,10 +363,7 @@ def _channel_materialized(channel, input_dist, rate, n, trials, decoder, rng,
             p_in.size, size=(n_m, n), p=p_in)
         m = int(gen.integers(n_m))
         y = _sample_rows(rows, words[m], gen)
-        picked = log_rows[words, y[None, :]]
-        with np.errstate(invalid="ignore"):
-            scores = np.where(np.isneginf(picked).any(axis=1), -np.inf,
-                              np.where(np.isfinite(picked), picked, 0.0).sum(axis=1))
+        scores = _literal_scores(log_rows, words, y)
         s_true = scores[m]
         others = np.delete(scores, m)
         top = others.max() if others.size else -math.inf
@@ -383,12 +382,18 @@ def _channel_materialized(channel, input_dist, rate, n, trials, decoder, rng,
 
 
 def _channel_conditional(channel, input_dist, rate, n, trials, decoder, rng, log_m) -> TrialReport:
-    cond = _ChannelConditional(channel, input_dist)
+    """Scores are summed log likelihoods ln P(y|x).  The output-marginal term
+    ln P_Y(y) of the information ratio is common to all codewords, so the
+    threshold decoder adds it to its threshold instead."""
+    rows = channel.rows
+    p_in = input_dist.probs
+    with np.errstate(divide="ignore"):
+        law = _ScoreLaw(np.log(rows), np.log(p_in), np.zeros(rows.shape))
+        log_p_out = np.log(p_in @ rows)
+    lattices: dict[tuple, _Lattice] = {}  # by pooled output count
     # ln(N_m - 1) rivals, from the integer size wherever it exists
     log_rivals = (math.log(codebook_size(rate, n) - 1) if n * rate <= MAX_LOG_CODEBOOK
                   else log_m)
-    rows = channel.rows
-    p_in = input_dist.probs
 
     def draw(gen, size):
         # input type, then each input row's outputs: the joint (x, y) type
@@ -397,17 +402,20 @@ def _channel_conditional(channel, input_dist, rate, n, trials, decoder, rng, log
     def p_win(key: tuple) -> float:
         joint_counts = np.array(key).reshape(rows.shape)
         y_counts = joint_counts.sum(axis=0)
-        lat = cond.lattice(tuple(int(c) for c in y_counts))
-        s_true = cond.true_score(joint_counts)
+        pooled = tuple(law.key(y_counts).tolist())
+        if pooled not in lattices:
+            lattices[pooled] = _Lattice(*law.lattice(pooled)[:2])
+        lat = lattices[pooled]
+        s_true = law.score(joint_counts)
         if decoder == "ml":
             return _ml_win_probability(lat, s_true, log_m, log_rivals)
         # the sent word passes, and none of the N_m - 1 rivals does
-        thresh = n * rate + float(_masked_dot(y_counts[None, :], cond.log_p_out)[0])
+        thresh = n * rate + float(_masked_dot(y_counts[None, :], log_p_out)[0])
         if not s_true > thresh:
             return 0.0
         return math.exp(_log_pow_one_minus(lat.log_tail_gt(thresh), log_rivals))
 
-    return _type_trials(trials, rng, draw, p_win)
+    return _type_trials(trials, rng, draw, _per_type(p_win))
 
 
 def _ml_win_probability(lat: _Lattice, s_true: float, log_nm: float,
@@ -434,36 +442,6 @@ def _ml_win_probability(lat: _Lattice, s_true: float, log_nm: float,
 
 
 # --- rate-distortion --------------------------------------------------------------
-
-class _DistortionConditional:
-    """One random codeword's (score, distortion) law given the source type."""
-
-    def __init__(self, source: Distribution, test_channel: Channel, d: np.ndarray):
-        if test_channel.input_size != source.alphabet_size:
-            raise DimensionMismatch("test channel does not match the source")
-        self.q_hat = source.probs @ test_channel.rows
-        if np.any(self.q_hat <= 0):
-            raise DegenerateMarginal("reproduction marginal has a zero entry")
-        joint = source.probs[:, None] * test_channel.rows  # (x, x_hat)
-        with np.errstate(divide="ignore"):
-            # score of reproduction symbol against source symbol; the common
-            # source-block terms cancel in pairwise comparisons
-            self.g = np.where(joint.T > 0,
-                              np.log(joint.T) - np.log(self.q_hat)[:, None],
-                              -np.inf)  # (x_hat, x)
-            self.log_q_hat = np.log(self.q_hat)
-        self.d = np.asarray(d, dtype=float)
-
-    def law(self, x_counts: tuple[int, ...]):
-        v, lp, dist = np.zeros(1), np.zeros(1), np.zeros(1)
-        for x, m in enumerate(x_counts):
-            if m == 0:
-                continue
-            gv, glp, gd = _composition_lattice(m, self.g[:, x], self.log_q_hat,
-                                               companion=self.d[x, :])
-            v, lp, dist = _fold(v, lp, gv, glp, extra_a=dist, extra_b=gd)
-        return v, lp, dist
-
 
 def _rd_fail_probability(values, log_pmf, dist_totals, budget: float,
                          margin: float, log_nm: float) -> float:
@@ -516,7 +494,15 @@ def simulate_rate_distortion(source: Distribution, test_channel: Channel, d, D: 
     d = _validate_distortion_matrix(source, d)
     if D < 0:
         raise ValueError("D must be non-negative")
-    cond = _DistortionConditional(source, test_channel, d)
+    if test_channel.input_size != source.alphabet_size:
+        raise DimensionMismatch("test channel does not match the source")
+    q_hat = source.probs @ test_channel.rows
+    if np.any(q_hat <= 0):
+        raise DegenerateMarginal("reproduction marginal has a zero entry")
+    with np.errstate(divide="ignore"):
+        # score of reproduction symbol x_hat against source symbol x; the
+        # common source-block terms cancel in pairwise comparisons
+        g = np.log(source.probs[:, None] * test_channel.rows).T - np.log(q_hat)[:, None]
     log_m = log_codebook_size(rate, n)
     if log_m < _LN2:
         raise ValueError("codebook needs at least 2 rows; raise rate or n")
@@ -524,22 +510,20 @@ def simulate_rate_distortion(source: Distribution, test_channel: Channel, d, D: 
     margin = n * rate
 
     if _resolve_method(method, log_m, n, trials, ops_guard) == "materialize":
-        return _rd_materialized(source, cond, d, budget, margin, n, trials, rng,
+        return _rd_materialized(source, q_hat, g, d, budget, margin, n, trials, rng,
                                 codebook_size(rate, n))
-    return _rd_conditional(source, cond, budget, margin, n, trials, rng, log_m)
+    return _rd_conditional(source, _ScoreLaw(g, np.log(q_hat), d.T), budget, margin, n, trials,
+                           rng, log_m)
 
 
-def _rd_materialized(source, cond, d, budget, margin, n, trials, rng, n_m) -> TrialReport:
+def _rd_materialized(source, q_hat, g, d, budget, margin, n, trials, rng, n_m) -> TrialReport:
     p = source.probs
     successes = 0
     for i in range(trials):
         gen = rng.substream(i).generator()
         x = gen.choice(p.size, size=n, p=p)
-        words = gen.choice(cond.q_hat.size, size=(n_m, n), p=cond.q_hat)
-        picked = cond.g[words, x[None, :]]
-        with np.errstate(invalid="ignore"):
-            scores = np.where(np.isneginf(picked).any(axis=1), -np.inf,
-                              np.where(np.isfinite(picked), picked, 0.0).sum(axis=1))
+        words = gen.choice(q_hat.size, size=(n_m, n), p=q_hat)
+        scores = _literal_scores(g, words, x)
         dists = d[x[None, :], words].sum(axis=1)
         meets = dists <= budget
         if not np.any(meets):
@@ -553,9 +537,9 @@ def _rd_materialized(source, cond, d, budget, margin, n, trials, rng, n_m) -> Tr
     return _report(successes, trials, rng)
 
 
-def _rd_conditional(source, cond, budget, margin, n, trials, rng, log_m) -> TrialReport:
-    def p_cover(key: tuple) -> float:
-        return 1.0 - _rd_fail_probability(*cond.law(key), budget, margin, log_m)
-
+def _rd_conditional(source, law, budget, margin, n, trials, rng, log_m) -> TrialReport:
+    p_cover = _per_type(lambda pooled: 1.0 - _rd_fail_probability(*law.lattice(pooled), budget,
+                                                                   margin, log_m))
     return _type_trials(trials, rng,
-                        lambda gen, size: gen.multinomial(n, source.probs, size=size), p_cover)
+                        lambda gen, size: gen.multinomial(n, source.probs, size=size),
+                        lambda types: p_cover(law.key(types)))

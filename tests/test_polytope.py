@@ -20,6 +20,7 @@ from ptshannon import (
     uniform_distribution,
 )
 from ptshannon.errors import (
+    InstanceTooLarge,
     LambdaTooSmall,
     NonPositiveExponent,
     PeakNearBoundary,
@@ -205,6 +206,17 @@ def test_smoothed_delta_guard_near_corner():
     with pytest.raises(PeakNearBoundary):
         smoothed_delta_normalization(
             SmoothedDelta(0.2, SequenceType((195, 5), 200)), uniform_distribution(2))
+
+
+def test_smoothed_delta_type_guard_checked_before_enumeration():
+    """Reference (20,)*6 at n = 120, eps = 0.05: the peak clears the
+    boundary (3 sigma = 0.106 < 1/6), but the lattice has C(125, 5) ~ 2.3e8
+    types, over the enumeration guard, so the call raises before any is
+    built."""
+    assert 3 * 0.05 / math.sqrt(2) < 1 / 6
+    with pytest.raises(InstanceTooLarge):
+        smoothed_delta_normalization(
+            SmoothedDelta(0.05, SequenceType((20,) * 6, 120)), uniform_distribution(6))
 
 
 def test_smoothed_delta_discrete_sums():

@@ -27,7 +27,14 @@ from ptshannon import (
     uniform_distribution,
 )
 from ptshannon.errors import CodebookTooLarge, DegenerateMarginal
-from ptshannon.simulate import TRIAL_BLOCK, _Lattice, _log_pow_one_minus, _ml_win_probability
+from ptshannon.simulate import (
+    TRIAL_BLOCK,
+    _Lattice,
+    _log_pow_one_minus,
+    _ml_win_probability,
+    _ScoreLaw,
+)
+from ptshannon.type_classes import type_array
 
 from oracles import binary_rd_success, bsc_exact_success, dmc_exact_success
 
@@ -147,6 +154,69 @@ def test_channel_paths_match_exact_dmc_oracle():
             rep = simulate_channel_coding(ch, p_in, rate, n, trials, decoder,
                                           RngStream(5), method=method)
             assert abs(rep.p_hat - exact) <= 3 * sigma, (decoder, method)
+
+
+@pytest.mark.parametrize("rows, p_in", [
+    ([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]], [1 / 3, 1 / 3, 1 / 3]),
+    ([[0.8, 0.2, 0.0], [0.0, 0.2, 0.8]], [0.5, 0.5]),
+], ids=["ternary-symmetric", "bec"])
+def test_pooled_channels_match_exact_dmc_oracle(rows, p_in):
+    """Channels whose output symbols pool: a ternary symmetric channel (one
+    group of 2 atoms) and BEC(0.2) (the erasure column has one atom, the
+    other two pool into one group with a -inf atom).  Both decoders on the
+    conditional path, against the exact joint-type sum."""
+    n, rate, trials = 12, 0.3, 3000
+    for decoder in ("threshold", "ml"):
+        exact = dmc_exact_success(rows, p_in, rate, n, decoder)
+        rep = simulate_channel_coding(Channel(np.array(rows)), make_distribution(p_in), rate,
+                                      n, trials, decoder, RngStream(13), method="conditional")
+        assert abs(rep.p_hat - exact) <= 3 * math.sqrt(exact * (1 - exact) / trials), decoder
+
+
+@pytest.mark.parametrize("rows", [
+    [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]],
+    ASYM_ROWS,
+], ids=["ternary-symmetric", "3x3"])
+def test_sent_score_is_a_lattice_point(rows):
+    """For every joint type at n = 5 the sent word's score is one of the
+    rival lattice's own points, bit for bit, so ML finds its tie mass.  The
+    ternary symmetric channel repeats ln 0.1 within each column; that value
+    is one atom, summed once."""
+    rows = np.array(rows)
+    law = _ScoreLaw(np.log(rows), np.log(np.full(3, 1 / 3)), np.zeros(rows.shape))
+    for joint in type_array(9, 5).reshape(-1, 3, 3):
+        lat = _Lattice(*law.lattice(law.key(joint.sum(axis=0)))[:2])
+        assert lat.log_mass_eq(law.score(joint)) > -math.inf
+
+
+# (channel rows, input, rate, n, trials, seed) -> successes (threshold, ml)
+PINNED_CHANNEL_RUNS = [
+    ([[0.89, 0.11], [0.11, 0.89]], [0.5, 0.5], 0.3, 250, 1000, 101, (857, 915)),
+    ([[0.73, 0.17, 0.10], [0.13, 0.79, 0.08], [0.29, 0.23, 0.48]], [0.6, 0.3, 0.1],
+     0.25, 16, 500, 102, (189, 339)),
+    ([[0.93, 0.07], [0.19, 0.81]], [0.55, 0.45], 0.3, 40, 500, 103, (266, 366)),
+]
+
+
+@pytest.mark.parametrize("rows, p_in, rate, n, trials, seed, want", PINNED_CHANNEL_RUNS,
+                         ids=["bsc", "3x3", "binary-asymmetric"])
+def test_conditional_channel_counts_pinned(rows, p_in, rate, n, trials, seed, want):
+    """Success counts for fixed seeds, exactly: a change to the score
+    lattice that moves any draw or decision shows here."""
+    got = tuple(simulate_channel_coding(Channel(np.array(rows)), make_distribution(p_in), rate,
+                                        n, trials, decoder, RngStream(seed),
+                                        method="conditional").successes
+                for decoder in ("threshold", "ml"))
+    assert got == want
+
+
+def test_conditional_rd_count_pinned():
+    """Binary rate-distortion, BSC(0.1) test channel, D = 0.1, n = 60: the
+    success count for a fixed seed, exactly."""
+    rep = simulate_rate_distortion(uniform_distribution(2), binary_symmetric_channel(0.1),
+                                   hamming_distortion(2), 0.1, 0.39, 60, 1000, RngStream(104),
+                                   method="conditional")
+    assert rep.successes == 472
 
 
 @given(small_channel_runs())
@@ -270,18 +340,39 @@ def test_channel_materialize_guard():
 
 
 def test_channel_lattice_guard_checked_before_enumeration():
-    """Noiseless 4-ary channel, uniform input: every output pools into one
-    lattice of C(n+3, 3) points, 4 022 880 at n = 287, over LATTICE_GUARD.
-    The guard raises before any point is built."""
+    """Cyclic 4-ary channel (rows are the cyclic shifts of (0.4, 0.3, 0.2,
+    0.1)), uniform input: every output symbol has the same 4 atoms, so all
+    outputs pool into one lattice of C(n+3, 3) points, 4 022 880 at n = 287,
+    over LATTICE_GUARD.  The guard raises before any point is built."""
+    rows = np.array([np.roll([0.4, 0.3, 0.2, 0.1], s) for s in range(4)])
     tracemalloc.start()
     try:
         with pytest.raises(CodebookTooLarge):
-            simulate_channel_coding(Channel(np.eye(4)), uniform_distribution(4), 1.0, 287,
+            simulate_channel_coding(Channel(rows), uniform_distribution(4), 1.0, 287,
                                     5, "ml", RngStream(1), method="conditional")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+def test_channel_noiseless_pools_to_two_atoms():
+    """Noiseless 4-ary channel, uniform input, n = 287: each output column
+    has 2 atoms (the matching input, or -inf), so the lattice has n + 1
+    points.  Rivals tie the sent word with chance q = 4^-n and never beat
+    it, so ML success is (1 - (1 - q)^N_m) / (N_m q), here with
+    N_m q ~ e^0.5."""
+    n = 287
+    rate = math.log(4) + 0.5 / n
+    n_m = codebook_size(rate, n)
+    q = 4.0 ** -n
+    n_q = n_m * q
+    exact = -math.expm1(n_m * math.log1p(-q)) / n_q
+    assert n_q == pytest.approx(math.exp(0.5), rel=1e-6)
+    trials = 2000
+    rep = simulate_channel_coding(Channel(np.eye(4)), uniform_distribution(4), rate, n,
+                                  trials, "ml", RngStream(2), method="conditional")
+    assert abs(rep.p_hat - exact) <= 3 * math.sqrt(exact * (1 - exact) / trials)
 
 
 def test_channel_codebook_beyond_float_range():
