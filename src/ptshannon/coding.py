@@ -21,7 +21,7 @@ from scipy.special import erfc, gammaln
 
 from .alphabet import Channel, Distribution, JointDistribution, joint_from
 from .errors import CodebookTooLarge, InstanceTooLarge, UndefinedRatio
-from .info_measures import entropy, rate_distortion
+from .info_measures import capacity, entropy, rate_distortion
 from .type_classes import count_types, type_array
 
 EXACT_TYPE_GUARD = 2 * 10**6
@@ -166,8 +166,6 @@ def channel_coding_prediction(channel: Channel, input_dist: Distribution,
 
 def channel_capacity_threshold(channel: Channel, tol: float = 1e-9) -> float:
     """Location of the asymptotic success step: the channel capacity."""
-    from .info_measures import capacity
-
     return capacity(channel, tol).capacity_nats
 
 

@@ -39,7 +39,8 @@ class NonConvergence(PtShannonError):
 
 
 class InfeasibleDistortion(PtShannonError):
-    """Requested average distortion cannot be met (negative D)."""
+    """Requested average distortion is below the least achievable,
+    E_p[min d(x, .)], or the distortion matrix is invalid."""
 
 
 # --- method of types --------------------------------------------------------

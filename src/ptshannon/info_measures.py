@@ -2,20 +2,21 @@
 coding predictions need: channel capacity and the rate-distortion function.
 
 Entropies follow the 0 ln 0 = 0 convention.  Capacity and rate-distortion are
-solved by Blahut-Arimoto alternating minimization, which yields a certified
-optimality gap for capacity and a slope-parametrized sweep (bisection on the
-Lagrange multiplier) for the distortion constraint.
+solved by Blahut-Arimoto alternating minimization.  Each loop carries an upper
+and a lower bound on its optimum and exits only when they are within its
+tolerance, so every result reports a certified gap.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import xlogy
 
-from .alphabet import Channel, Distribution, JointDistribution, joint_from
+from .alphabet import Channel, Distribution, JointDistribution
 from .errors import (
     DimensionMismatch,
     InfeasibleDistortion,
@@ -24,7 +25,7 @@ from .errors import (
 
 ITERATION_CAP = 10**6
 CAPACITY_TOL = 1e-9
-RATE_DISTORTION_TOL = 1e-7
+RATE_DISTORTION_TOL = 1e-9
 
 
 # --- entropies ----------------------------------------------------------------
@@ -97,8 +98,7 @@ class CapacityResult:
 def _row_kl(rows: np.ndarray, q_out: np.ndarray) -> np.ndarray:
     """KL(row_x || q_out) for every input x; rows with mass on q=0 give +inf."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        logq = np.where(q_out > 0, np.log(q_out), -np.inf)
-    terms = xlogy(rows, rows) - rows * logq
+        terms = xlogy(rows, rows) - rows * np.log(q_out)
     return np.where(rows > 0, terms, 0.0).sum(axis=1)
 
 
@@ -135,6 +135,7 @@ class RateDistortionPoint:
     distortion: float
     rate_nats: float
     optimal_test_channel: Channel
+    gap_bound: float
 
 
 def _validate_distortion_matrix(source: Distribution, d: np.ndarray) -> np.ndarray:
@@ -148,94 +149,93 @@ def _validate_distortion_matrix(source: Distribution, d: np.ndarray) -> np.ndarr
     return d
 
 
-def _blahut_fixed_slope(p: np.ndarray, A: np.ndarray, q0: np.ndarray,
-                        inner_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Minimize I - s*E[d] at fixed slope via Blahut iteration on the output
-    marginal q.  A = exp(s * d).  Returns (q, test channel rows)."""
-    q = q0.copy()
-    for _ in range(ITERATION_CAP):
-        denom = A @ q  # per input symbol
-        c = (p / denom) @ A
-        q_new = q * c
-        # Blahut's sandwich: convergence when max_x ln c(x_hat) over the
-        # retained support is within inner_tol of 0.
-        gap = float(np.max(np.where(q_new > 0, np.log(np.maximum(c, 1e-300)), -np.inf)))
-        q = q_new / q_new.sum()
-        if gap <= inner_tol:
-            break
-    else:
-        raise NonConvergence("rate-distortion inner loop hit the iteration cap")
-    denom = A @ q
-    rows = (A * q[None, :]) / denom[:, None]
-    return q, rows
+def _meeting_slope(p: np.ndarray, excess: np.ndarray, q: np.ndarray, budget: float,
+                   s: float) -> tuple[float, np.ndarray]:
+    """The slope s >= 0 at which the channel W ∝ q exp(-s excess) spends
+    exactly ``budget``, with its tilt exp(-s excess).
 
-
-def _rd_point_from_rows(source: Distribution, d: np.ndarray, rows: np.ndarray) -> tuple[float, float]:
-    joint = JointDistribution(source.probs[:, None] * rows)
-    avg_d = float(np.sum(joint.probs * d))
-    rate = mutual_information(joint)
-    return avg_d, rate
+    The spend sum_x p E_W[excess] falls with s at rate sum_x p Var_W(excess).
+    Newton steps start from the given s; a step that leaves the bracket the
+    iterates have set bisects it, or doubles s while the bracket is open
+    above.  budget = 0 is the s = inf limit: only zero-excess cells remain.
+    """
+    if budget == 0:
+        return math.inf, (excess == 0).astype(float)
+    lo, hi = 0.0, math.inf
+    while True:
+        tilt = np.exp(-s * excess)
+        w = tilt * q
+        w /= w.sum(axis=1, keepdims=True)
+        mean = (w * excess).sum(axis=1)
+        spend = float(p @ mean)
+        if abs(spend - budget) <= 1e-14 * budget:
+            return s, tilt
+        if spend > budget:
+            lo = s
+        else:
+            hi = s
+        var = float(p @ ((w * excess**2).sum(axis=1) - mean**2))
+        step = s + (spend - budget) / var if var > 0 else math.nan
+        if not lo < step < hi:
+            step = 2.0 * lo + 1.0 if hi == math.inf else 0.5 * (lo + hi)
+        if step == s:
+            return s, tilt
+        s = step
 
 
 def rate_distortion(source: Distribution, d, D: float,
                     tol: float = RATE_DISTORTION_TOL) -> RateDistortionPoint:
     """Rate-distortion function: minimum H(x_hat:x) over test channels with
-    average distortion at most D.
+    average distortion at most D, with a certified gap bound.
 
-    The constrained minimum is traced by a Lagrange-slope sweep: the Blahut
-    inner loop solves each fixed-slope problem and the slope is bisected until
-    the achieved distortion matches D.  Boundary ties resolve toward the
-    smaller rate.
+    With excess = d - d_least, d_least(x) = min d(x, .), the budget is
+    D - E_p[d_least].  Each step tilts the output marginal q into the channel
+    W ∝ q exp(-s excess) whose slope s spends the budget exactly.  W is
+    feasible, so I(p, W) bounds R(D) above; Blahut's dual bound
+    -s budget - E_p ln(q @ tilt) - ln max c bounds it below at any s and q.
+    The loop exits when the two are within ``tol``; else q moves to p @ W.
+    Symbols the source never emits keep their least-distortion reproduction.
     """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     d = _validate_distortion_matrix(source, d)
-    if D < 0:
-        raise InfeasibleDistortion("D must be non-negative")
     p = source.probs
     n_hat = d.shape[1]
-    inner_tol = min(tol, 1e-9) * 1e-2
 
     # Rate-zero regime: the best constant reproduction already meets D.
     col_dist = p @ d
-    d_max = float(col_dist.min())
-    if D >= d_max:
-        best = int(np.argmin(col_dist))
+    if D >= col_dist.min():
         rows = np.zeros((p.size, n_hat))
-        rows[:, best] = 1.0
-        return RateDistortionPoint(d_max, 0.0, Channel(rows))
+        rows[:, int(np.argmin(col_dist))] = 1.0
+        return RateDistortionPoint(float(col_dist.min()), 0.0, Channel(rows), 0.0)
 
-    # Zero-distortion regime: the slope -> -inf limit keeps only d = 0 cells.
-    if D <= 0:
-        A = (d == 0).astype(float)
-        q0 = np.full(n_hat, 1.0 / n_hat)
-        _, rows = _blahut_fixed_slope(p, A, q0, inner_tol)
-        avg_d, rate = _rd_point_from_rows(source, d, rows)
-        return RateDistortionPoint(avg_d, rate, Channel(rows))
-
-    # Bisection on the slope s < 0; achieved distortion is increasing in s.
-    d_pos = d[d > 0]
-    s_lo = -700.0 / max(float(d_pos.min()), 1e-12)  # deep-compression end
-    s_lo = max(s_lo, -1e8)
-    s_hi = -1e-9
+    least = d.min(axis=1)
+    least_avg = float(p @ least)
+    if D < least_avg:
+        raise InfeasibleDistortion(
+            f"D = {D!r} is below the least achievable distortion {least_avg!r}")
+    budget = D - least_avg
+    live = p > 0
+    p, excess = p[live], (d - least[:, None])[live]
     q = np.full(n_hat, 1.0 / n_hat)
-    best_rows = None
-    for _ in range(200):
-        s = 0.5 * (s_lo + s_hi)
-        q, rows = _blahut_fixed_slope(p, np.exp(s * d), q, inner_tol)
-        avg_d, rate = _rd_point_from_rows(source, d, rows)
-        if abs(avg_d - D) <= max(tol * 1e-2, 1e-12):
-            best_rows = rows
-            break
-        if avg_d > D:
-            s_hi = s
-        else:
-            s_lo = s
-            best_rows = rows  # feasible side: E[d] <= D
-        if s_hi - s_lo <= 1e-13 * max(1.0, abs(s_lo)):
-            break
-    if best_rows is None:
-        best_rows = rows
-    avg_d, rate = _rd_point_from_rows(source, d, best_rows)
-    return RateDistortionPoint(avg_d, rate, Channel(best_rows))
+    s = 0.0
+    for _ in range(ITERATION_CAP):
+        s, tilt = _meeting_slope(p, excess, q, budget, s)
+        denom = tilt @ q
+        w = tilt * q / denom[:, None]
+        q_out = p @ w
+        upper = float(p @ _row_kl(w, q_out))
+        lower = (-(s * budget if budget else 0.0) - float(p @ np.log(denom))
+                 - math.log(((p / denom) @ tilt).max()))
+        if upper - lower <= tol:
+            rows = np.eye(n_hat)[d.argmin(axis=1)]
+            rows[live] = w
+            return RateDistortionPoint(float(source.probs @ (rows * d).sum(axis=1)), upper,
+                                       Channel(rows), upper - lower)
+        q = q_out
+    raise NonConvergence(
+        f"rate-distortion gap still above tol={tol} after {ITERATION_CAP} iterations"
+    )
 
 
 def rate_distortion_curve(source: Distribution, d, grid) -> list[RateDistortionPoint]:

@@ -293,8 +293,7 @@ def simulate_channel_coding(channel: Channel, input_dist: Distribution, rate: fl
                             n: int, trials: int, decoder: str = "threshold",
                             rng: RngStream | None = None, *,
                             fresh_codebook: bool = True,
-                            method: str = "auto",
-                            ops_guard: int = OPS_GUARD) -> TrialReport:
+                            method: str = "auto") -> TrialReport:
     """Random-coding Monte Carlo through a memoryless channel.
 
     decoder:
@@ -319,7 +318,7 @@ def simulate_channel_coding(channel: Channel, input_dist: Distribution, rate: fl
     if log_m < _LN2:
         raise ValueError("codebook needs at least 2 rows; raise rate or n")
 
-    if _resolve_method(method, log_m, n, trials, ops_guard) == "materialize":
+    if _resolve_method(method, log_m, n, trials) == "materialize":
         return _channel_materialized(channel, input_dist, rate, n, trials,
                                      decoder, rng, fresh_codebook, codebook_size(rate, n))
     if not fresh_codebook:
@@ -327,18 +326,18 @@ def simulate_channel_coding(channel: Channel, input_dist: Distribution, rate: fl
     return _channel_conditional(channel, input_dist, rate, n, trials, decoder, rng, log_m)
 
 
-def _resolve_method(method: str, log_m: float, n: int, trials: int, ops_guard: int) -> str:
+def _resolve_method(method: str, log_m: float, n: int, trials: int) -> str:
     """``materialize`` or ``conditional``.  A materialized run costs
     N_m*n*trials operations; that count is compared with the guard in log
     space, so N_m need not exist as a number."""
-    budget = ops_guard / (n * trials)
+    budget = OPS_GUARD / (n * trials)
     fits = budget > 0 and log_m <= math.log(budget)
     if method == "auto":
         return "materialize" if fits else "conditional"
     if method == "materialize" and not fits:
         raise CodebookTooLarge(
             f"materialized run needs ~e^{log_m + math.log(n * trials):.1f} operations"
-            f" (guard {ops_guard:.0e})"
+            f" (guard {OPS_GUARD:.0e})"
         )
     if method not in ("materialize", "conditional"):
         raise ValueError("method must be 'auto', 'materialize', or 'conditional'")
@@ -478,8 +477,7 @@ def _rd_fail_probability(values, log_pmf, dist_totals, budget: float,
 def simulate_rate_distortion(source: Distribution, test_channel: Channel, d, D: float,
                              rate: float, n: int, trials: int,
                              rng: RngStream | None = None, *,
-                             method: str = "auto",
-                             ops_guard: int = OPS_GUARD) -> TrialReport:
+                             method: str = "auto") -> TrialReport:
     """Covering Monte Carlo for distortion coding.
 
     Each trial draws a source block and a fresh codebook i.i.d. from the
@@ -509,7 +507,7 @@ def simulate_rate_distortion(source: Distribution, test_channel: Channel, d, D: 
     budget = n * D + 1e-9 * max(1.0, n * D)
     margin = n * rate
 
-    if _resolve_method(method, log_m, n, trials, ops_guard) == "materialize":
+    if _resolve_method(method, log_m, n, trials) == "materialize":
         return _rd_materialized(source, q_hat, g, d, budget, margin, n, trials, rng,
                                 codebook_size(rate, n))
     return _rd_conditional(source, _ScoreLaw(g, np.log(q_hat), d.T), budget, margin, n, trials,

@@ -204,3 +204,26 @@ def dmc_exact_success(rows, p_in, rate: float, n: int, decoder: str) -> float:
                 terms.append(win * math.fsum(sent_mass[lik]))
             g += e
     return math.fsum(terms)
+
+
+def binary_input_capacity(rows) -> float:
+    """Capacity of a binary-input channel by golden-section search over the
+    input law (r, 1 - r).  The mutual information is concave in r, so the
+    search brackets the maximum; 80 steps shrink the bracket below 1e-16."""
+    rows = np.asarray(rows, dtype=float)
+
+    def mi(r: float) -> float:
+        joint = np.array([[r], [1.0 - r]]) * rows
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = joint * np.log(rows / joint.sum(axis=0))
+        return float(np.where(joint > 0, terms, 0.0).sum())
+
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = 0.0, 1.0
+    for _ in range(80):
+        c, e = b - inv_phi * (b - a), a + inv_phi * (b - a)
+        if mi(c) < mi(e):
+            a = c
+        else:
+            b = e
+    return max(mi(a), mi(b), mi(0.5 * (a + b)))

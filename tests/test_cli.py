@@ -121,6 +121,20 @@ def test_rd_curve_subcommand(tmp_path):
     assert rates == sorted(rates, reverse=True)
 
 
+def test_rd_curve_infeasible_distortion_exits_2(tmp_path, capsys):
+    out = tmp_path / "rd.csv"
+    doc = {"kind": "rd-curve",
+           "parameters": {"source": [0.5, 0.5], "d": [[0.1, 2.0, 1.5], [2.0, 1.0, 1.5]],
+                          "D_grid": [0.3, 0.8]},
+           "output_path": str(out), "seed": 1}
+    assert main(["rd-curve", "--config", write_config(tmp_path / "c.json", doc)]) == 2
+    assert "D = 0.3" in capsys.readouterr().err
+    doc["parameters"]["D_grid"] = [0.8]
+    assert main(["rd-curve", "--config", write_config(tmp_path / "c.json", doc)]) == 0
+    rate = float(out.read_text().splitlines()[2].split(",")[1])
+    assert math.isfinite(rate) and rate > 0
+
+
 def test_sweep_deterministic_and_seed_sensitive(tmp_path):
     out1, out2, out3 = (tmp_path / f"s{i}.csv" for i in range(3))
     doc = {"kind": "source-coding",

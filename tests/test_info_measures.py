@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ptshannon import (
     Channel,
@@ -23,7 +25,10 @@ from ptshannon import (
     relative_information,
     uniform_distribution,
 )
+from ptshannon.errors import InfeasibleDistortion
 from ptshannon.info_measures import distortion_from_json, joint_entropy
+
+from oracles import binary_input_capacity
 
 LN2 = math.log(2.0)
 
@@ -183,12 +188,28 @@ def test_capacity_upper_bounds_any_input():
         assert c.capacity_nats >= mi - 1e-9
 
 
+@given(st.lists(st.lists(st.integers(0, 9), min_size=4, max_size=4).filter(any),
+                min_size=2, max_size=2),
+       st.integers(2, 4))
+def test_capacity_gap_bounds_error_binary_input(weights, outputs):
+    rows = np.array(weights, dtype=float)[:, :outputs]
+    rows[:, 0] += 1.0  # every row keeps some mass
+    rows /= rows.sum(axis=1, keepdims=True)
+    res = capacity(Channel(rows))
+    # the 1e-12 is rounding in the two independent evaluations
+    assert abs(res.capacity_nats - binary_input_capacity(rows)) <= res.gap_bound + 1e-12
+
+
 # --- rate-distortion ---------------------------------------------------------------
 
 def test_rate_distortion_zero_distortion_is_entropy():
     src = make_distribution([0.9, 0.1])
     pt = rate_distortion(src, hamming_distortion(2), 0.0)
     assert pt.rate_nats == pytest.approx(entropy(src), abs=1e-7)
+    # a symbol the source never emits has no part in the rate
+    pt = rate_distortion(make_distribution([0.9, 0.1, 0.0]), hamming_distortion(3), 0.0)
+    assert pt.rate_nats == pytest.approx(entropy(src), abs=1e-7)
+    assert pt.distortion == 0.0
 
 
 def test_rate_distortion_large_d_is_zero_rate():
@@ -226,14 +247,76 @@ def test_rate_distortion_lower_bounds_admissible_joints():
     """R(E_Q[d]) <= I(Q) for any joint Q with the right source marginal."""
     gen = np.random.default_rng(6)
     src = make_distribution([0.6, 0.4])
-    d = hamming_distortion(2)
-    for _ in range(20):
-        rows = gen.random((2, 2)) + 0.05
-        rows /= rows.sum(1, keepdims=True)
-        j = joint_from(Channel(rows), src)
-        dq = float((j.probs * d).sum())
-        pt = rate_distortion(src, d, dq)
-        assert pt.rate_nats <= mutual_information(j) + 1e-6
+    # Hamming, and two non-square matrices, one with no zero in a row; their
+    # Q lean toward low distortion, so E_Q[d] falls below the rate-zero point
+    for d, lean in ((hamming_distortion(2), 0.0),
+                    (np.array([[0.1, 2.0, 1.5], [2.0, 1.0, 1.5]]), 2.0),
+                    (np.array([[0.0, 1.0, 0.4], [1.0, 0.0, 0.4]]), 2.0)):
+        for _ in range(20):
+            rows = (gen.random(d.shape) + 0.05) * np.exp(-lean * d)
+            rows /= rows.sum(1, keepdims=True)
+            j = joint_from(Channel(rows), src)
+            dq = float((j.probs * d).sum())
+            pt = rate_distortion(src, d, dq)
+            assert math.isfinite(pt.rate_nats)
+            assert pt.rate_nats <= mutual_information(j) + 1e-6
+
+
+def test_rate_distortion_below_least_distortion_raises():
+    src = uniform_distribution(2)
+    d = np.array([[1.0, 2.0, 1.5], [2.0, 1.0, 1.5]])  # least distortion 1.0
+    with pytest.raises(InfeasibleDistortion, match="D = 0.3"):
+        rate_distortion(src, d, 0.3)
+    with pytest.raises(InfeasibleDistortion):
+        rate_distortion(src, hamming_distortion(2), -0.1)
+    # the boundary itself is met exactly, by the zero-excess cells
+    pt = rate_distortion(src, d, 1.0)
+    assert pt.distortion == pytest.approx(1.0, abs=1e-12)
+    assert pt.rate_nats == pytest.approx(LN2, abs=1e-9)
+
+
+def test_rate_distortion_at_vanishing_reproduction():
+    """D = (N-1) p_min, where the optimal reproduction law loses a symbol."""
+    p = np.array([0.5, 0.3, 0.2])
+    D = 0.4
+    closed = float(-(p * np.log(p)).sum()) - binary_entropy(D) - D * math.log(2)
+    pt = rate_distortion(Distribution(p), hamming_distortion(3), D, tol=1e-7)
+    assert abs(pt.rate_nats - closed) <= pt.gap_bound <= 1e-7
+    j = joint_from(pt.optimal_test_channel, Distribution(p))
+    assert float((j.probs * hamming_distortion(3)).sum()) <= D + 1e-12
+    assert mutual_information(j) == pytest.approx(pt.rate_nats, abs=1e-12)
+
+
+@given(st.lists(st.integers(1, 9), min_size=2, max_size=3),
+       st.lists(st.lists(st.integers(1, 8), min_size=4, max_size=4), min_size=3, max_size=3),
+       st.integers(2, 4))
+def test_rate_distortion_non_increasing_and_convex(weights, entries, reproductions):
+    src = make_distribution(weights)
+    d = np.array(entries, dtype=float)[:len(weights), :reproductions] / 4.0
+    if d.shape[0] == d.shape[1]:
+        np.fill_diagonal(d, 0.0)
+    least = float(src.probs @ d.min(axis=1))
+    rate_zero = float((src.probs @ d).min())
+    grid = least + (rate_zero - least) * np.arange(7) / 6.0
+    pts = [rate_distortion(src, d, float(D), tol=1e-8) for D in grid]
+    r = [pt.rate_nats for pt in pts]
+    gap = [pt.gap_bound for pt in pts]
+    # each reported rate lies within its gap above R(D), so these are the
+    # certified forms of R(D) non-increasing and convex; 1e-12 is rounding
+    for k in range(1, len(grid)):
+        assert r[k] <= r[k - 1] + gap[k] + 1e-12
+    for k in range(1, len(grid) - 1):
+        assert r[k] - gap[k] <= 0.5 * (r[k - 1] + r[k + 1]) + 1e-12
+
+
+@given(st.lists(st.integers(2, 9), min_size=2, max_size=4), st.integers(1, 9))
+def test_rate_distortion_gap_bounds_hamming_closed_form(weights, tenths):
+    src = make_distribution(weights)
+    n_sym = src.alphabet_size
+    D = tenths / 10.0 * (n_sym - 1) * float(src.probs.min())
+    closed = entropy(src) - binary_entropy(D) - D * math.log(n_sym - 1)
+    pt = rate_distortion(src, hamming_distortion(n_sym), D)
+    assert abs(pt.rate_nats - closed) <= pt.gap_bound + 1e-12
 
 
 def test_distortion_from_json():
