@@ -25,6 +25,10 @@ so the law is one composition lattice per group of block symbols, folded;
 the sent word's score goes through the same arithmetic, so ties are found
 by exact equality.  Symmetric channels and the binary rate-distortion
 protocol pool into a single O(n) lattice with no branch of their own.
+Lattices are unsorted folds, built once per run and queried per block:
+each answers each distinct question of the channel decoder once, by a
+log-sum-exp over just the points above (or equal to) a score, so nothing
+on the channel path sorts.  The rate-distortion failure sum sorts once.
 
 The conditional paths and the source simulator share one trial kernel
 (:func:`_type_trials`): it draws types directly by multinomial sampling,
@@ -111,16 +115,17 @@ def _type_trials(trials: int, rng: RngStream, draw_types, p_success) -> TrialRep
     return _report(successes, trials, rng)
 
 
-def _per_type(p_one):
-    """The kernel's ``p_success`` from a function of one type, given as a
-    tuple of ints; it is called once per distinct type over the whole run."""
+def _per_type(p_new):
+    """The kernel's ``p_success`` from a function of the types not seen
+    before, given as a list of distinct tuples of ints; each type's
+    probability is computed once over the whole run."""
     memo: dict[tuple, float] = {}
 
     def p_success(types: np.ndarray) -> np.ndarray:
         keys = list(map(tuple, types.tolist()))
-        for key in keys:
-            if key not in memo:
-                memo[key] = p_one(key)
+        new = [key for key in dict.fromkeys(keys) if key not in memo]
+        if new:
+            memo.update(zip(new, p_new(new)))
         return np.array([memo[key] for key in keys])
     return p_success
 
@@ -139,38 +144,11 @@ def simulate_source_coding(setup: SourceCodingSetup, trials: int, rng: RngStream
 
 # --- score lattices -------------------------------------------------------------
 
-class _Lattice:
-    """Distribution of one random codeword's score, sorted, with log-scale
-    tail lookups."""
-
-    def __init__(self, values: np.ndarray, log_pmf: np.ndarray):
-        order = np.argsort(values, kind="stable")
-        self.values = values[order]
-        self.log_pmf = log_pmf[order]
-        with np.errstate(divide="ignore"):
-            self._suffix = np.logaddexp.accumulate(self.log_pmf[::-1])[::-1]
-
-    def log_tail_geq(self, t: float) -> float:
-        i = np.searchsorted(self.values, t, side="left")
-        return float(self._suffix[i]) if i < self.values.size else -math.inf
-
-    def log_tail_gt(self, t: float) -> float:
-        i = np.searchsorted(self.values, t, side="right")
-        return float(self._suffix[i]) if i < self.values.size else -math.inf
-
-    def log_mass_eq(self, t: float) -> float:
-        lo = np.searchsorted(self.values, t, side="left")
-        hi = np.searchsorted(self.values, t, side="right")
-        if hi == lo:
-            return -math.inf
-        return float(np.logaddexp.reduce(self.log_pmf[lo:hi]))
-
-
-def _composition_lattice(m: int, values: np.ndarray, log_mass: np.ndarray, extra: np.ndarray):
-    """(score, log-probability, companion) of the sum of m i.i.d. draws from
-    a finite atom set, enumerated over occupancy vectors with multinomial
-    weights.  The size is checked against the guard before any vector is
-    built."""
+def _composition_lattice(m: int, values: np.ndarray, log_mass: np.ndarray, *companions):
+    """(score, log-probability, *companions) of the sum of m i.i.d. draws
+    from a finite atom set, enumerated over occupancy vectors with
+    multinomial weights.  The size is checked against the guard before any
+    vector is built."""
     k = values.size
     if count_types(k, m) > LATTICE_GUARD:
         raise CodebookTooLarge("per-group composition lattice exceeds the guard")
@@ -178,12 +156,12 @@ def _composition_lattice(m: int, values: np.ndarray, log_mass: np.ndarray, extra
     with np.errstate(invalid="ignore"):
         logw = np.where(counts > 0, counts * log_mass[None, :], 0.0)
     log_pmf = (gammaln(m + 1) - gammaln(counts + 1).sum(axis=1)) + logw.sum(axis=1)
-    return _masked_dot(counts, values), log_pmf, counts @ extra
+    return (_masked_dot(counts, values), log_pmf, *(counts @ c for c in companions))
 
 
 def _fold(a: tuple, b: tuple) -> tuple:
-    """Outer sum of two independent (score, log-probability, companion)
-    lattices: every component adds."""
+    """Outer sum of two independent lattices, given as parallel arrays:
+    every component adds."""
     if a[0].size * b[0].size > LATTICE_GUARD:
         raise CodebookTooLarge(
             "conditional score lattice exceeds the guard; materialize instead"
@@ -191,39 +169,57 @@ def _fold(a: tuple, b: tuple) -> tuple:
     return tuple((x[:, None] + y[None, :]).ravel() for x, y in zip(a, b))
 
 
+def _log_mass(log_pmf: np.ndarray, where: np.ndarray) -> float:
+    """ln of the summed mass of the lattice points where ``where`` holds: a
+    log-sum-exp over just those points, shifted by their own maximum, so
+    exp runs only on the selected points and no mass underflows relative to
+    another part of the lattice.  -inf when no point is selected."""
+    x = log_pmf[where]
+    top = x.max(initial=-np.inf)
+    if top == -np.inf:
+        return -math.inf
+    return float(top + np.log(np.exp(x - top).sum()))
+
+
 class _ScoreLaw:
-    """One random codeword's (score, companion) law given the block's type.
+    """One random codeword's score law given the block's type, with an
+    optional companion summed alongside the score.
 
     ``g[a, b]`` scores codeword symbol a against block symbol b and may be
-    -inf; ``log_p[a]`` is the codewords' symbol law and ``extra[a, b]`` a
-    companion summed alongside the score (the distortion; 0 for channels).
-    Against block symbol b a random codeword symbol lands on an atom, one
-    distinct (g[a, b], extra[a, b]) pair over the symbols a with p > 0,
-    carrying their summed mass.  Block symbols with the same atom law pool
-    into one group: given the block's type, a codeword's score is a sum over
-    groups of that group's pooled count of i.i.d. atom draws (the method of
-    types, Csiszar, IEEE TIT 44(6), 1998).  A symmetric channel with its
-    capacity input, or the binary rate-distortion protocol with a BSC test
-    channel, pools into one group and an O(n) lattice; a noiseless or
-    erasure column has 2 atoms or 1.
+    -inf; ``log_p[a]`` is the codewords' symbol law and ``extra[a, b]``, if
+    given, the companion (the distortion, for rate-distortion).  Against
+    block symbol b a random codeword symbol lands on an atom, one distinct
+    (g[a, b], extra[a, b]) pair over the symbols a with p > 0, carrying
+    their summed mass.  Block symbols with the same atom law pool into one
+    group: given the block's type, a codeword's score is a sum over groups
+    of that group's pooled count of i.i.d. atom draws (the method of types,
+    Csiszar, IEEE TIT 44(6), 1998).  A symmetric channel with its capacity
+    input, or the binary rate-distortion protocol with a BSC test channel,
+    pools into one group and an O(n) lattice; a noiseless or erasure column
+    has 2 atoms or 1.
+
+    A lattice is the unsorted fold of the groups' composition lattices:
+    parallel arrays (score, log-probability, companion if any), queried
+    with :func:`_log_mass`.
     """
 
-    def __init__(self, g: np.ndarray, log_p: np.ndarray, extra: np.ndarray):
+    def __init__(self, g: np.ndarray, log_p: np.ndarray, extra: np.ndarray | None = None):
         live = np.flatnonzero(log_p > -np.inf)
+        parts = (g,) if extra is None else (g, extra)
         self.group = np.empty(g.shape[1], dtype=np.int64)  # block symbol -> group
         self.atom = np.zeros(g.shape, dtype=np.int64)  # (a, b) -> atom of b's group
-        self.atoms: list[tuple] = []  # per group: (values, log_mass, extra)
+        self.atoms: list[tuple] = []  # per group: (values, log_mass, companion if any)
         groups: dict[tuple, tuple] = {}  # atom law -> (group, its atom order)
         for b in range(g.shape[1]):
-            pairs = [(float(g[a, b]), float(extra[a, b])) for a in live]
+            pairs = [tuple(float(x[a, b]) for x in parts) for a in live]
             atoms = list(dict.fromkeys(pairs))
             log_mass = [float(np.logaddexp.reduce(log_p[live[[q == atom for q in pairs]]]))
                         for atom in atoms]
             law = tuple(sorted(zip(atoms, log_mass)))
             if law not in groups:
                 groups[law] = (len(self.atoms), atoms)
-                values, extras = map(np.array, zip(*atoms))
-                self.atoms.append((values, np.array(log_mass), extras))
+                values, *companion = map(np.array, zip(*atoms))
+                self.atoms.append((values, np.array(log_mass), *companion))
             self.group[b], order = groups[law]
             self.atom[live, b] = [order.index(q) for q in pairs]
         self.member = np.eye(len(self.atoms), dtype=np.int64)[self.group]
@@ -234,12 +230,14 @@ class _ScoreLaw:
         return col_counts @ self.member
 
     def lattice(self, key: tuple[int, ...]) -> tuple:
-        """(score, log-probability, companion) of one random codeword: one
-        composition lattice per group with a positive count, folded."""
-        folded = (np.zeros(1), np.zeros(1), np.zeros(1))
-        for (values, log_mass, extra), m in zip(self.atoms, key):
+        """(score, log-probability, companion if any) of one random
+        codeword, unsorted: one composition lattice per group with a
+        positive count, folded."""
+        folded = None
+        for atoms, m in zip(self.atoms, key):
             if m:
-                folded = _fold(folded, _composition_lattice(m, values, log_mass, extra))
+                part = _composition_lattice(m, *atoms)
+                folded = part if folded is None else _fold(folded, part)
         return folded
 
     def score(self, joint_counts: np.ndarray) -> float:
@@ -387,9 +385,9 @@ def _channel_conditional(channel, input_dist, rate, n, trials, decoder, rng, log
     rows = channel.rows
     p_in = input_dist.probs
     with np.errstate(divide="ignore"):
-        law = _ScoreLaw(np.log(rows), np.log(p_in), np.zeros(rows.shape))
+        law = _ScoreLaw(np.log(rows), np.log(p_in))
         log_p_out = np.log(p_in @ rows)
-    lattices: dict[tuple, _Lattice] = {}  # by pooled output count
+    lattices: dict[tuple, tuple] = {}  # (score, log-probability) by pooled output count
     # ln(N_m - 1) rivals, from the integer size wherever it exists
     log_rivals = (math.log(codebook_size(rate, n) - 1) if n * rate <= MAX_LOG_CODEBOOK
                   else log_m)
@@ -398,30 +396,45 @@ def _channel_conditional(channel, input_dist, rate, n, trials, decoder, rng, log
         # input type, then each input row's outputs: the joint (x, y) type
         return gen.multinomial(gen.multinomial(n, p_in, size=size), rows)
 
-    def p_win(key: tuple) -> float:
-        joint_counts = np.array(key).reshape(rows.shape)
-        y_counts = joint_counts.sum(axis=0)
-        pooled = tuple(law.key(y_counts).tolist())
-        if pooled not in lattices:
-            lattices[pooled] = _Lattice(*law.lattice(pooled)[:2])
-        lat = lattices[pooled]
-        s_true = law.score(joint_counts)
-        if decoder == "ml":
-            return _ml_win_probability(lat, s_true, log_m, log_rivals)
-        # the sent word passes, and none of the N_m - 1 rivals does
-        thresh = n * rate + float(_masked_dot(y_counts[None, :], log_p_out)[0])
-        if not s_true > thresh:
-            return 0.0
-        return math.exp(_log_pow_one_minus(lat.log_tail_gt(thresh), log_rivals))
+    def p_win(joint_types: list[tuple]) -> list[float]:
+        """Win probability of each new joint type.  The decoder's question
+        to the rival lattice is a score t: the threshold for ``threshold``,
+        the sent word's score for ``ml``.  Types are grouped by pooled
+        output count, and each lattice answers each distinct t once."""
+        p = [0.0] * len(joint_types)
+        asks: dict[tuple, list] = {}  # pooled output count -> [(type index, t)]
+        for i, key in enumerate(joint_types):
+            joint_counts = np.array(key).reshape(rows.shape)
+            y_counts = joint_counts.sum(axis=0)
+            s_true = t = law.score(joint_counts)
+            if decoder == "threshold":
+                t = n * rate + float(_masked_dot(y_counts[None, :], log_p_out)[0])
+                if not s_true > t:
+                    continue  # the sent word fails its own threshold
+            asks.setdefault(tuple(law.key(y_counts).tolist()), []).append((i, t))
+        for pooled, queries in asks.items():
+            if pooled not in lattices:
+                lattices[pooled] = law.lattice(pooled)
+            values, log_pmf = lattices[pooled]
+            log_gt = {t: _log_mass(log_pmf, values > t) for t in {t for _, t in queries}}
+            if decoder == "ml":
+                log_eq = {t: _log_mass(log_pmf, values == t) for t in log_gt}
+            for i, t in queries:
+                if decoder == "ml":
+                    p[i] = _ml_win_probability(log_gt[t], log_eq[t], log_m, log_rivals)
+                else:  # the sent word passes, and none of the N_m - 1 rivals does
+                    p[i] = math.exp(_log_pow_one_minus(log_gt[t], log_rivals))
+        return p
 
     return _type_trials(trials, rng, draw, _per_type(p_win))
 
 
-def _ml_win_probability(lat: _Lattice, s_true: float, log_nm: float,
+def _ml_win_probability(log_gt: float, log_eq: float, log_nm: float,
                         log_rivals: float) -> float:
     """Chance that the transmitted word wins the argmax with uniform
-    tie-break against N_m - 1 rivals.  With g = P(a rival scores higher) and
-    e = P(a rival ties), summing over the number k of tying rivals,
+    tie-break against N_m - 1 rivals, from ln g = ``log_gt`` and
+    ln e = ``log_eq``, where g = P(a rival scores higher) and e = P(a rival
+    ties).  Summing over the number k of tying rivals,
 
         sum_k C(N_m-1, k) e^k (1-g-e)^(N_m-1-k) / (k+1)
           = (1-g)^(N_m-1) (1 - (1-q)^N_m) / (N_m q),   q = e / (1-g).
@@ -429,11 +442,10 @@ def _ml_win_probability(lat: _Lattice, s_true: float, log_nm: float,
     The last factor is 1 - O(N_m q), so it is 1 to double precision once
     N_m q < e^-30; above that both of its parts are computed from ln q
     without cancellation."""
-    log_gt = lat.log_tail_gt(s_true)
     log_win = _log_pow_one_minus(log_gt, log_rivals)
     if log_win == -math.inf:
         return 0.0
-    log_q = lat.log_mass_eq(s_true) - _log_pow_one_minus(log_gt, 0.0)
+    log_q = log_eq - _log_pow_one_minus(log_gt, 0.0)
     if log_nm + log_q < -30.0:
         return math.exp(log_win)
     covered = -math.expm1(_log_pow_one_minus(log_q, log_nm))
@@ -453,25 +465,36 @@ def _rd_fail_probability(values, log_pmf, dist_totals, budget: float,
     where G(v) is the per-codeword chance of landing in
     (non-meeting, score <= v) or (meeting, score <= v - margin), and G(v-)
     uses a strict inequality at v.  Complement masses are accumulated in log
-    scale so powers with astronomically large Nm stay exact.
+    scale so powers with astronomically large Nm stay exact.  Every tail
+    comes from one sort per side (meeting, non-meeting) and a bisection for
+    all distinct v at once; the sum runs over v in ascending order.
     """
     meet = dist_totals <= budget
     if not np.any(~meet):
         return 0.0  # every codeword meets the budget; the top one passes
-    lat_meet = _Lattice(values[meet], log_pmf[meet]) if np.any(meet) else None
-    lat_not = _Lattice(values[~meet], log_pmf[~meet])
-
-    def meet_above(t: float) -> float:
-        return lat_meet.log_tail_gt(t) if lat_meet is not None else -math.inf
-
+    not_values, log_not_tail = _sorted_tail(values[~meet], log_pmf[~meet])
+    meet_values, log_meet_tail = _sorted_tail(values[meet], log_pmf[meet])
+    v = np.unique(not_values)
+    log_meet_above = log_meet_tail[np.searchsorted(meet_values, v - margin, side="right")]
+    eps1 = np.logaddexp(log_not_tail[np.searchsorted(not_values, v, side="right")],
+                        log_meet_above).tolist()
+    eps0 = np.logaddexp(log_not_tail[np.searchsorted(not_values, v, side="left")],
+                        log_meet_above).tolist()
     p_fail = 0.0
-    for v in np.unique(lat_not.values):
-        log_meet_gt = meet_above(v - margin)
-        eps1 = np.logaddexp(lat_not.log_tail_gt(v), log_meet_gt)
-        eps0 = np.logaddexp(lat_not.log_tail_geq(v), log_meet_gt)
-        p_fail += math.exp(_log_pow_one_minus(eps1, log_nm)) \
-            - math.exp(_log_pow_one_minus(eps0, log_nm))
+    for e1, e0 in zip(eps1, eps0):
+        p_fail += math.exp(_log_pow_one_minus(e1, log_nm)) \
+            - math.exp(_log_pow_one_minus(e0, log_nm))
     return min(max(p_fail, 0.0), 1.0)
+
+
+def _sorted_tail(values: np.ndarray, log_pmf: np.ndarray) -> tuple:
+    """Values sorted (stably), and the ln mass at or above each sorted
+    position, with -inf appended, so index ``searchsorted(values, t)`` gives
+    ln P(score >= t) (side left) or ln P(score > t) (side right)."""
+    order = np.argsort(values, kind="stable")
+    with np.errstate(divide="ignore"):
+        suffix = np.logaddexp.accumulate(log_pmf[order][::-1])[::-1]
+    return values[order], np.append(suffix, -np.inf)
 
 
 def simulate_rate_distortion(source: Distribution, test_channel: Channel, d, D: float,
@@ -536,8 +559,8 @@ def _rd_materialized(source, q_hat, g, d, budget, margin, n, trials, rng, n_m) -
 
 
 def _rd_conditional(source, law, budget, margin, n, trials, rng, log_m) -> TrialReport:
-    p_cover = _per_type(lambda pooled: 1.0 - _rd_fail_probability(*law.lattice(pooled), budget,
-                                                                   margin, log_m))
+    p_cover = _per_type(lambda pooled: [
+        1.0 - _rd_fail_probability(*law.lattice(key), budget, margin, log_m) for key in pooled])
     return _type_trials(trials, rng,
                         lambda gen, size: gen.multinomial(n, source.probs, size=size),
                         lambda types: p_cover(law.key(types)))

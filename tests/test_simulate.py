@@ -29,7 +29,7 @@ from ptshannon import (
 from ptshannon.errors import CodebookTooLarge, DegenerateMarginal
 from ptshannon.simulate import (
     TRIAL_BLOCK,
-    _Lattice,
+    _log_mass,
     _log_pow_one_minus,
     _ml_win_probability,
     _ScoreLaw,
@@ -183,10 +183,45 @@ def test_sent_score_is_a_lattice_point(rows):
     ternary symmetric channel repeats ln 0.1 within each column; that value
     is one atom, summed once."""
     rows = np.array(rows)
-    law = _ScoreLaw(np.log(rows), np.log(np.full(3, 1 / 3)), np.zeros(rows.shape))
+    law = _ScoreLaw(np.log(rows), np.log(np.full(3, 1 / 3)))
     for joint in type_array(9, 5).reshape(-1, 3, 3):
-        lat = _Lattice(*law.lattice(law.key(joint.sum(axis=0)))[:2])
-        assert lat.log_mass_eq(law.score(joint)) > -math.inf
+        values, log_pmf = law.lattice(law.key(joint.sum(axis=0)))
+        assert _log_mass(log_pmf, values == law.score(joint)) > -math.inf
+
+
+def _sorted_tails(values: np.ndarray, log_pmf: np.ndarray, t: float) -> tuple:
+    """Reference for ln P(score > t) and ln P(score >= t): sort the lattice
+    stably, accumulate log masses from the top, look t up by bisection."""
+    order = np.argsort(values, kind="stable")
+    suffix = np.append(np.logaddexp.accumulate(log_pmf[order][::-1])[::-1], -np.inf)
+    return (suffix[np.searchsorted(values[order], t, side="right")],
+            suffix[np.searchsorted(values[order], t, side="left")])
+
+
+@given(st.data())
+def test_log_mass_matches_sorted_suffix(data):
+    """Masked log-sum-exp tails equal the sorted suffix sums on lattices
+    with repeated and -inf scores, single points, and masses spread over
+    far more than e^745, so one shift for the whole lattice would
+    underflow; the tie mass is -inf exactly when no point equals t."""
+    size = data.draw(st.integers(1, 40))
+    pool = data.draw(st.lists(st.floats(-50, 50) | st.just(-math.inf), min_size=1, max_size=6))
+    values = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size)))
+    log_pmf = np.array(data.draw(st.lists(st.floats(-1500, 0), min_size=size, max_size=size)))
+    t = data.draw(st.sampled_from(pool) | st.floats(-60, 60) | st.just(-math.inf))
+    want_gt, want_geq = _sorted_tails(values, log_pmf, t)
+    assert _log_mass(log_pmf, values > t) == pytest.approx(want_gt, abs=1e-12)
+    assert _log_mass(log_pmf, values >= t) == pytest.approx(want_geq, abs=1e-12)
+    assert (_log_mass(log_pmf, values == t) == -math.inf) == (not np.any(values == t))
+
+
+def test_log_mass_of_no_mass_is_minus_inf():
+    """An empty selection, or one whose points all have mass 0, has log
+    mass -inf, with no warning from shifting -inf by -inf."""
+    log_pmf = np.array([-np.inf, -np.inf, 0.0])
+    assert _log_mass(log_pmf, np.zeros(3, dtype=bool)) == -math.inf
+    assert _log_mass(log_pmf, np.array([True, True, False])) == -math.inf
+    assert _log_mass(log_pmf, np.ones(3, dtype=bool)) == 0.0
 
 
 # (channel rows, input, rate, n, trials, seed) -> successes (threshold, ml)
@@ -195,11 +230,17 @@ PINNED_CHANNEL_RUNS = [
     ([[0.73, 0.17, 0.10], [0.13, 0.79, 0.08], [0.29, 0.23, 0.48]], [0.6, 0.3, 0.1],
      0.25, 16, 500, 102, (189, 339)),
     ([[0.93, 0.07], [0.19, 0.81]], [0.55, 0.45], 0.3, 40, 500, 103, (266, 366)),
+    ([[0.73, 0.17, 0.10], [0.13, 0.79, 0.08], [0.29, 0.23, 0.48]], [0.6, 0.3, 0.1],
+     0.25, 20, 400, 105, (151, 246)),
+    ([[0.73, 0.17, 0.10], [0.13, 0.79, 0.08], [0.29, 0.23, 0.48]], [0.6, 0.3, 0.1],
+     0.25, 24, 400, 106, (150, 257)),
+    ([[0.93, 0.07], [0.19, 0.81]], [0.55, 0.45], 0.3, 400, 400, 107, (274, 320)),
 ]
 
 
 @pytest.mark.parametrize("rows, p_in, rate, n, trials, seed, want", PINNED_CHANNEL_RUNS,
-                         ids=["bsc", "3x3", "binary-asymmetric"])
+                         ids=["bsc", "3x3", "binary-asymmetric", "3x3-n20", "3x3-n24",
+                              "binary-asymmetric-n400"])
 def test_conditional_channel_counts_pinned(rows, p_in, rate, n, trials, seed, want):
     """Success counts for fixed seeds, exactly: a change to the score
     lattice that moves any draw or decision shows here."""
@@ -217,6 +258,18 @@ def test_conditional_rd_count_pinned():
                                    hamming_distortion(2), 0.1, 0.39, 60, 1000, RngStream(104),
                                    method="conditional")
     assert rep.successes == 472
+
+
+def test_conditional_rd_ternary_count_pinned():
+    """Ternary source (0.5, 0.3, 0.2), Hamming distortion, the optimal test
+    channel at D = 0.15, rate 0.55, n = 20: no two source symbols share an
+    atom law, so nothing pools and every source type has its own lattice.
+    The success count for a fixed seed, exactly."""
+    src = make_distribution([0.5, 0.3, 0.2])
+    d = hamming_distortion(3)
+    rep = simulate_rate_distortion(src, rate_distortion(src, d, 0.15).optimal_test_channel, d,
+                                   0.15, 0.55, 20, 500, RngStream(108), method="conditional")
+    assert rep.successes == 264
 
 
 @given(small_channel_runs())
@@ -449,10 +502,12 @@ def test_log_pow_one_minus_edges():
     assert _log_pow_one_minus(-1000.0, 800.0) == -math.exp(-200.0)
 
 
-def _tie_lattice(g: float, e: float) -> _Lattice:
+def _tie_tails(g: float, e: float) -> tuple:
     """Rival scores 0, 1, 2 with masses 1 - g - e, e, g: a sent score of 1
-    is beaten with probability g and tied with probability e."""
-    return _Lattice(np.array([0.0, 1.0, 2.0]), np.log([1.0 - g - e, e, g]))
+    is beaten with probability g and tied with probability e.  Returns the
+    lattice's (ln P(score > 1), ln P(score == 1))."""
+    values, log_pmf = np.array([0.0, 1.0, 2.0]), np.log([1.0 - g - e, e, g])
+    return _log_mass(log_pmf, values > 1.0), _log_mass(log_pmf, values == 1.0)
 
 
 def _ml_win_sum(n_m: int, g: float, e: float) -> float:
@@ -465,8 +520,8 @@ def _ml_win_sum(n_m: int, g: float, e: float) -> float:
 def test_ml_win_probability_counts_rivals_not_codewords():
     """With ties negligible the sent word wins iff none of its N_m - 1
     rivals scores higher: (1 - g)^(N_m - 1) = 1/2 here, not (1 - g)^N_m."""
-    lat = _tie_lattice(0.5, math.exp(-40.0))
-    assert _ml_win_probability(lat, 1.0, math.log(2), 0.0) == pytest.approx(0.5, rel=1e-12)
+    tails = _tie_tails(0.5, math.exp(-40.0))
+    assert _ml_win_probability(*tails, math.log(2), 0.0) == pytest.approx(0.5, rel=1e-12)
 
 
 @pytest.mark.parametrize("n_m, g", [(2, 0.5), (1000, 1e-3)])
@@ -477,7 +532,7 @@ def test_ml_win_probability_continuous_at_tie_cutoff(n_m, g):
     vals = []
     for step in (-1e-9, 1e-9):
         e = (1 - g) * math.exp(-30.0 + step) / n_m
-        val = _ml_win_probability(_tie_lattice(g, e), 1.0, math.log(n_m), math.log(n_m - 1))
+        val = _ml_win_probability(*_tie_tails(g, e), math.log(n_m), math.log(n_m - 1))
         assert val == pytest.approx(_ml_win_sum(n_m, g, e), rel=1e-12)
         vals.append(val)
     assert vals[0] == pytest.approx(vals[1], rel=1e-9)
