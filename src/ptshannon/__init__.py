@@ -16,14 +16,12 @@ from .alphabet import (
     info_ratio,
     joint_from,
     make_distribution,
-    sample_iid,
     uniform_distribution,
 )
 from .coding import (
     ChannelCodingPrediction,
     RateDistortionPrediction,
     SourceCodingSetup,
-    channel_capacity_threshold,
     channel_coding_prediction,
     codebook_size,
     rate_distortion_prediction,

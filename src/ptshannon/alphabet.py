@@ -210,14 +210,6 @@ def info_ratio(joint: JointDistribution, x: int, y: int) -> float:
     return float(joint.probs[x, y]) / (px * py)
 
 
-def sample_iid(dist: Distribution, n: int, rng: RngStream) -> np.ndarray:
-    """Draw n i.i.d. symbols; deterministic given the stream."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    gen = rng.generator()
-    return gen.choice(dist.alphabet_size, size=n, p=dist.probs)
-
-
 # --- JSON literals ----------------------------------------------------------
 
 def distribution_from_json(text: str) -> Distribution:

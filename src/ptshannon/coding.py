@@ -17,12 +17,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, gammaln
 
 from .alphabet import Channel, Distribution, JointDistribution, joint_from
 from .errors import CodebookTooLarge, InstanceTooLarge, UndefinedRatio
-from .info_measures import capacity, entropy, rate_distortion
-from .type_classes import count_types, type_array
+from .info_measures import entropy, rate_distortion
+from .type_classes import count_types, log_multinomial, type_array
 
 EXACT_TYPE_GUARD = 2 * 10**6
 MAX_LOG_CODEBOOK = 700.0
@@ -103,7 +102,7 @@ def source_coding_exact_psuc(setup: SourceCodingSetup) -> float:
 
     counts = type_array(p.size, n)
     counts = counts[setup.encodable(counts)]
-    log_binom = gammaln(n + 1) - gammaln(counts + 1).sum(axis=1)
+    log_binom = log_multinomial(counts)
     with np.errstate(divide="ignore", invalid="ignore"):
         # a type with a count off the source's support has probability 0
         log_prob = np.where(counts > 0, counts * np.log(p), 0.0).sum(axis=1)
@@ -158,25 +157,10 @@ def channel_coding_prediction(channel: Channel, input_dist: Distribution,
     a, b = log_info_ratio_moments(joint)
     step = 1 if rate < a else 0
     if b > 0:
-        p_erfc = float(0.5 * erfc(math.sqrt(n / (2.0 * b)) * (rate - a)))
+        p_erfc = 0.5 * math.erfc(math.sqrt(n / (2.0 * b)) * (rate - a))
     else:
         p_erfc = float(step)
     return ChannelCodingPrediction(a, b, rate, n, step, p_erfc)
-
-
-def channel_capacity_threshold(channel: Channel, tol: float = 1e-9) -> float:
-    """Location of the asymptotic success step: the channel capacity."""
-    return capacity(channel, tol).capacity_nats
-
-
-def rate_achievable(capacity_nats: float, rate: float) -> bool:
-    """Achievability predicate: vanishing error is possible iff R < C."""
-    return rate < capacity_nats
-
-
-def rate_within_converse(capacity_nats: float, rate: float) -> bool:
-    """Converse predicate: reliable codes force R <= C."""
-    return rate <= capacity_nats
 
 
 # --- rate-distortion -------------------------------------------------------------

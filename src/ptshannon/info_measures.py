@@ -14,12 +14,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .alphabet import Channel, Distribution, JointDistribution
 from .errors import (
     DimensionMismatch,
     InfeasibleDistortion,
+    InvalidDistribution,
     NonConvergence,
 )
 
@@ -30,13 +30,19 @@ RATE_DISTORTION_TOL = 1e-9
 
 # --- entropies ----------------------------------------------------------------
 
+def _xlogx(x) -> np.ndarray:
+    """x ln x elementwise for x >= 0, with 0 ln 0 = 0."""
+    x = np.asarray(x, dtype=float)
+    return x * np.log(x, out=np.zeros_like(x), where=x > 0)
+
+
 def entropy(dist: Distribution) -> float:
     """Plain entropy H = -sum p ln p, in nats."""
-    return float(-xlogy(dist.probs, dist.probs).sum())
+    return _entropy_raw(dist.probs)
 
 
 def _entropy_raw(p: np.ndarray) -> float:
-    return float(-xlogy(p, p).sum())
+    return float(-_xlogx(p).sum())
 
 
 def joint_entropy(joint: JointDistribution) -> float:
@@ -98,7 +104,7 @@ class CapacityResult:
 def _row_kl(rows: np.ndarray, q_out: np.ndarray) -> np.ndarray:
     """KL(row_x || q_out) for every input x; rows with mass on q=0 give +inf."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = xlogy(rows, rows) - rows * np.log(q_out)
+        terms = rows * np.log(rows) - rows * np.log(q_out)
     return np.where(rows > 0, terms, 0.0).sum(axis=1)
 
 
@@ -108,15 +114,17 @@ def capacity(channel: Channel, tol: float = CAPACITY_TOL) -> CapacityResult:
     Standard Blahut-Arimoto ascent: for the current input r, the mutual
     information I(r) = sum_x r_x KL(row_x || q) is a lower bound on C and
     max_x KL(row_x || q) is an upper bound, so the loop exits exactly when the
-    sandwich closes to ``tol``.
+    sandwich closes to ``tol``.  The rows never change, so their sums
+    sum_y W ln W are taken once, over the outputs some input reaches; with
+    every r_x > 0 the output law q is positive there.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    rows = channel.rows
+    rows = channel.rows[:, channel.rows.any(axis=0)]
+    h_rows = _xlogx(rows).sum(axis=1)
     r = np.full(channel.input_size, 1.0 / channel.input_size)
     for it in range(1, ITERATION_CAP + 1):
-        q_out = r @ rows
-        d = _row_kl(rows, q_out)
+        d = h_rows - rows @ np.log(r @ rows)
         lower = float(r @ d)
         upper = float(d.max())
         if upper - lower <= tol:
@@ -136,6 +144,7 @@ class RateDistortionPoint:
     rate_nats: float
     optimal_test_channel: Channel
     gap_bound: float
+    iterations: int
 
 
 def _validate_distortion_matrix(source: Distribution, d: np.ndarray) -> np.ndarray:
@@ -207,7 +216,7 @@ def rate_distortion(source: Distribution, d, D: float,
     if D >= col_dist.min():
         rows = np.zeros((p.size, n_hat))
         rows[:, int(np.argmin(col_dist))] = 1.0
-        return RateDistortionPoint(float(col_dist.min()), 0.0, Channel(rows), 0.0)
+        return RateDistortionPoint(float(col_dist.min()), 0.0, Channel(rows), 0.0, 0)
 
     least = d.min(axis=1)
     least_avg = float(p @ least)
@@ -219,7 +228,7 @@ def rate_distortion(source: Distribution, d, D: float,
     p, excess = p[live], (d - least[:, None])[live]
     q = np.full(n_hat, 1.0 / n_hat)
     s = 0.0
-    for _ in range(ITERATION_CAP):
+    for it in range(1, ITERATION_CAP + 1):
         s, tilt = _meeting_slope(p, excess, q, budget, s)
         denom = tilt @ q
         w = tilt * q / denom[:, None]
@@ -231,7 +240,7 @@ def rate_distortion(source: Distribution, d, D: float,
             rows = np.eye(n_hat)[d.argmin(axis=1)]
             rows[live] = w
             return RateDistortionPoint(float(source.probs @ (rows * d).sum(axis=1)), upper,
-                                       Channel(rows), upper - lower)
+                                       Channel(rows), upper - lower, it)
         q = q_out
     raise NonConvergence(
         f"rate-distortion gap still above tol={tol} after {ITERATION_CAP} iterations"
@@ -260,4 +269,6 @@ def hamming_distortion(n: int) -> np.ndarray:
 
 def binary_entropy(p: float) -> float:
     """H_b(p) in nats."""
-    return float(-xlogy(p, p) - xlogy(1 - p, 1 - p))
+    if not 0.0 <= p <= 1.0:
+        raise InvalidDistribution(f"binary entropy needs 0 <= p <= 1, got {p!r}")
+    return _entropy_raw(np.array([p, 1.0 - p]))

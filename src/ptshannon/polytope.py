@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .alphabet import Distribution, RngStream
 from .errors import (
@@ -57,7 +56,7 @@ def dirichlet_integral(exponents) -> float:
         # integer exponents: exact big-integer factorials, then one rounding
         num = math.prod(math.factorial(int(k) - 1) for k in ints)
         return num / math.factorial(int(ints.sum()) - 1)
-    return float(np.exp(gammaln(a).sum() - gammaln(a.sum())))
+    return float(np.exp(sum(map(math.lgamma, a.tolist())) - math.lgamma(a.sum())))
 
 
 # --- Gaussian on the simplex --------------------------------------------------
@@ -243,7 +242,7 @@ def smoothed_delta_normalization(delta: SmoothedDelta, q: Distribution) -> Smoot
     counts = type_array(N, n)
     t_ref = np.asarray(ref.counts, dtype=float) / n
     gauss = -((counts / n - t_ref) ** 2).sum(axis=1) / eps ** 2
-    log_d = gammaln(n + 1) - gammaln(counts + 1).sum(axis=1)
+    log_d = log_multinomial(counts)
     log_d_ref = log_multinomial(ref.counts)
     v_seq = simplex_patch_volume(n * eps, N)
     v_eps = simplex_patch_volume(eps, N)

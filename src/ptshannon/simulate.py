@@ -43,7 +43,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .alphabet import Channel, Distribution, RngStream
 from .coding import (
@@ -54,7 +53,7 @@ from .coding import (
 )
 from .errors import CodebookTooLarge, DegenerateMarginal, DimensionMismatch
 from .info_measures import _validate_distortion_matrix
-from .type_classes import count_types, type_array
+from .type_classes import count_types, log_multinomial, type_array
 
 OPS_GUARD = 10**9
 LATTICE_GUARD = 4 * 10**6
@@ -155,7 +154,7 @@ def _composition_lattice(m: int, values: np.ndarray, log_mass: np.ndarray, *comp
     counts = type_array(k, m)
     with np.errstate(invalid="ignore"):
         logw = np.where(counts > 0, counts * log_mass[None, :], 0.0)
-    log_pmf = (gammaln(m + 1) - gammaln(counts + 1).sum(axis=1)) + logw.sum(axis=1)
+    log_pmf = log_multinomial(counts) + logw.sum(axis=1)
     return (_masked_dot(counts, values), log_pmf, *(counts @ c for c in companions))
 
 

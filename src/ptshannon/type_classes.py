@@ -3,9 +3,9 @@
 A length-n sequence over an alphabet of size N has an occurrence-count vector
 (its type); sequences sharing a type form a class whose size is the
 multinomial coefficient n! / prod(counts!).  This module provides exact
-class sizes (big-integer and log-gamma), the Stirling-based asymptotic size
-estimate, type enumeration, conditional types, and the exact counting
-identities that tie them together.
+class sizes (big-integer, and logs gathered from one log-factorial table), the
+Stirling-based asymptotic size estimate, type enumeration, conditional types,
+and the exact counting identities that tie them together.
 
 Types are enumerated two ways, in the same lexicographic order:
 `type_array` returns every count vector as one row of an int64 array, for
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from .alphabet import Distribution
 from .errors import (
@@ -37,6 +36,10 @@ from .errors import (
 )
 
 ENUMERATION_GUARD = 10**7
+
+# ln k! for k < len(_LOG_FACTORIAL), extended by `log_factorial` on demand.
+# Entries are a pure function of their index, so sharing the table is safe.
+_LOG_FACTORIAL = np.zeros(2)
 
 
 @dataclass(frozen=True)
@@ -147,9 +150,30 @@ def multinomial_int(counts: Sequence[int]) -> int:
     return out
 
 
-def log_multinomial(counts) -> float:
-    counts = np.asarray(counts, dtype=float)
-    return float(gammaln(counts.sum() + 1) - gammaln(counts + 1).sum())
+def log_factorial(k) -> np.ndarray:
+    """ln k! for every entry of a non-negative integer array, gathered from a
+    table of math.lgamma(i + 1) that grows to the largest k asked for."""
+    global _LOG_FACTORIAL
+    k = np.asarray(k, dtype=np.int64)
+    if k.size and k.min() < 0:
+        raise DimensionMismatch("log_factorial needs non-negative integers")
+    table = _LOG_FACTORIAL
+    top = int(k.max(initial=0))
+    if top >= table.size:
+        size, new = table.size, max(top + 1, 2 * table.size)
+        grown = np.fromiter((math.lgamma(i + 1) for i in range(size, new)), dtype=float,
+                            count=new - size)
+        table = _LOG_FACTORIAL = np.concatenate([table, grown])
+    return table[k]
+
+
+def log_multinomial(counts):
+    """ln of the multinomial coefficient n! / prod(counts!) of each row of
+    counts, with n the row sum: a float for one count vector, an array for a
+    2-D array of them."""
+    counts = np.asarray(counts, dtype=np.int64)
+    out = log_factorial(counts.sum(axis=-1)) - log_factorial(counts).sum(axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def class_size(t: SequenceType) -> ClassSize:
@@ -165,7 +189,7 @@ def class_size(t: SequenceType) -> ClassSize:
     pos = counts[counts > 0]
     T = pos / t.n
     k = pos.size
-    h = float(-xlogy(T, T).sum())
+    h = float(-(T * np.log(T)).sum())
     stirling = t.n * h - 0.5 * (k - 1) * math.log(2 * math.pi * t.n) - 0.5 * float(np.log(T).sum())
     return ClassSize(exact, stirling)
 

@@ -14,7 +14,6 @@ from ptshannon import (
     info_ratio,
     joint_from,
     make_distribution,
-    sample_iid,
     uniform_distribution,
 )
 from ptshannon.errors import (
@@ -110,19 +109,6 @@ def test_info_ratio_expectations_are_one():
         ey = (j.probs.sum(axis=0)[None, :] * r).sum(axis=1)
         assert np.allclose(ex, 1.0, atol=1e-12)
         assert np.allclose(ey, 1.0, atol=1e-12)
-
-
-def test_sample_iid_point_mass():
-    d = Distribution(np.array([1.0, 0.0]))
-    assert np.all(sample_iid(d, 5, RngStream(0)) == 0)
-
-
-def test_sample_iid_frequency_and_determinism():
-    d = uniform_distribution(2)
-    seq = sample_iid(d, 10**5, RngStream(42))
-    freq = float(np.mean(seq == 0))
-    assert 0.49 <= freq <= 0.51
-    assert np.array_equal(seq, sample_iid(d, 10**5, RngStream(42)))
 
 
 def test_rng_stream_substreams_differ_and_reproduce():

@@ -12,7 +12,6 @@ from ptshannon import (
     SourceCodingSetup,
     binary_entropy,
     binary_symmetric_channel,
-    channel_capacity_threshold,
     channel_coding_prediction,
     codebook_size,
     entropy,
@@ -27,8 +26,6 @@ from ptshannon.coding import (
     SOURCE_DEPENDENT,
     UNIVERSAL,
     log_codebook_size,
-    rate_achievable,
-    rate_within_converse,
 )
 from ptshannon.errors import CodebookTooLarge, InstanceTooLarge
 
@@ -224,16 +221,6 @@ def test_prediction_monotonicity():
              for n in (100, 200, 400, 800)]
     assert 0.3 < a
     assert all(b >= x for x, b in zip(below, below[1:]))
-
-
-def test_capacity_threshold_and_predicates():
-    assert channel_capacity_threshold(Channel(np.eye(2))) == pytest.approx(LN2, abs=1e-9)
-    assert channel_capacity_threshold(
-        Channel(np.array([[0.4, 0.6], [0.4, 0.6]]))) == pytest.approx(0.0, abs=1e-9)
-    c = channel_capacity_threshold(binary_symmetric_channel(0.11))
-    assert c == pytest.approx(LN2 - binary_entropy(0.11), abs=1e-9)
-    assert rate_achievable(c, c - 0.01) and not rate_achievable(c, c)
-    assert rate_within_converse(c, c) and not rate_within_converse(c, c + 1e-6)
 
 
 # --- rate-distortion -------------------------------------------------------------

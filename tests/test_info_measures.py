@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import xlogy
 
 from ptshannon import (
     Channel,
@@ -25,8 +26,8 @@ from ptshannon import (
     relative_information,
     uniform_distribution,
 )
-from ptshannon.errors import InfeasibleDistortion
-from ptshannon.info_measures import distortion_from_json, joint_entropy
+from ptshannon.errors import InfeasibleDistortion, InvalidDistribution
+from ptshannon.info_measures import _xlogx, distortion_from_json, joint_entropy
 
 from oracles import binary_input_capacity
 
@@ -53,6 +54,22 @@ def test_conditional_entropy_examples():
     bsc = joint_from(binary_symmetric_channel(0.1), uniform_distribution(2))
     assert conditional_entropy(bsc) == pytest.approx(binary_entropy(0.1), abs=1e-12)
     assert binary_entropy(0.1) == pytest.approx(0.325083, abs=1e-6)
+
+
+def test_xlogx_matches_xlogy():
+    gen = np.random.default_rng(5)
+    x = np.concatenate([[0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 0.5, 1.0, 3.0],
+                        gen.random(10**4), 10.0 ** gen.uniform(-320, 0, 10**4)])
+    np.testing.assert_allclose(_xlogx(x), xlogy(x, x), rtol=1e-15, atol=0)
+    assert _xlogx(0.0) == 0.0
+    assert _xlogx(np.zeros((2, 3))).shape == (2, 3)
+
+
+def test_binary_entropy_rejects_out_of_range():
+    assert binary_entropy(0.0) == 0.0 and binary_entropy(1.0) == 0.0
+    for p in (-0.1, 1.5, math.nan):
+        with pytest.raises(InvalidDistribution):
+            binary_entropy(p)
 
 
 def test_conditional_entropy_is_chain_rule():
@@ -172,6 +189,15 @@ def test_capacity_useless_channel():
     assert res.capacity_nats == pytest.approx(0.0, abs=1e-12)
 
 
+def test_capacity_ignores_unreached_outputs():
+    rows = np.array([[0.9, 0.1], [0.2, 0.8]])
+    res = capacity(Channel(rows))
+    padded = capacity(Channel(np.array([[0.9, 0.0, 0.1], [0.2, 0.0, 0.8]])))
+    assert padded.capacity_nats == res.capacity_nats
+    assert padded.iterations == res.iterations
+    assert padded.gap_bound <= 1e-9
+
+
 def test_capacity_bsc_closed_form():
     res = capacity(binary_symmetric_channel(0.11), tol=1e-10)
     assert res.capacity_nats == pytest.approx(LN2 - binary_entropy(0.11), abs=1e-9)
@@ -227,6 +253,15 @@ def test_rate_distortion_binary_hamming_closed_form():
     j = joint_from(pt.optimal_test_channel, u)
     assert float((j.probs * hamming_distortion(2)).sum()) <= 0.1 + 1e-7
     assert mutual_information(j) == pytest.approx(pt.rate_nats, abs=1e-9)
+
+
+def test_rate_distortion_reports_iterations():
+    u, d = uniform_distribution(2), hamming_distortion(2)
+    loose = rate_distortion(u, d, 0.1, tol=1e-6)
+    tight = rate_distortion(u, d, 0.1, tol=1e-12)
+    assert 1 <= loose.iterations <= tight.iterations
+    assert tight.gap_bound <= 1e-12
+    assert rate_distortion(u, d, 0.5).iterations == 0  # rate zero: no loop
 
 
 def test_rate_distortion_monotone_and_convex():

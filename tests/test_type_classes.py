@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from ptshannon import (
     JointSequenceType,
@@ -33,6 +34,7 @@ from ptshannon.errors import (
 from ptshannon.type_classes import (
     compositions,
     conditional_class_size_int,
+    log_factorial,
     log_multinomial,
     multinomial_int,
     type_array,
@@ -105,6 +107,31 @@ def test_multinomial_int_matches_log_gamma():
     assert multinomial_int(counts) == math.factorial(10) // (
         math.factorial(5) * math.factorial(3) * math.factorial(2))
     assert log_multinomial(counts) == pytest.approx(math.log(multinomial_int(counts)))
+
+
+def test_log_factorial_matches_gammaln():
+    # math.lgamma and gammaln differ in the last bits here (up to ~1e-9 absolute)
+    k = np.arange(2 * 10**5 + 1)
+    np.testing.assert_allclose(log_factorial(k), gammaln(k + 1.0), rtol=1e-12, atol=0)
+    assert log_factorial(0) == 0.0 and log_factorial(1) == 0.0
+    assert log_factorial(np.zeros((0, 3), dtype=np.int64)).shape == (0, 3)
+
+
+def test_log_factorial_rejects_negative():
+    with pytest.raises(DimensionMismatch):
+        log_factorial([3, -1])
+
+
+def test_log_multinomial_row_wise_matches_gammaln():
+    gen = np.random.default_rng(11)
+    for shape, top in (((2000, 3), 600), ((50, 5), 2 * 10**5), ((7, 1), 10)):
+        counts = gen.integers(0, top, size=shape)
+        ref = gammaln(counts.sum(axis=1) + 1.0) - gammaln(counts + 1.0).sum(axis=1)
+        rows = log_multinomial(counts)
+        np.testing.assert_allclose(rows, ref, rtol=1e-12, atol=1e-12)
+        assert all(log_multinomial(c) == r for c, r in zip(counts, rows))
+    assert isinstance(log_multinomial((5, 3, 2)), float)
+    assert log_multinomial(np.zeros((0, 3), dtype=np.int64)).shape == (0,)
 
 
 # --- enumeration ------------------------------------------------------------------
