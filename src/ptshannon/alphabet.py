@@ -35,8 +35,8 @@ def _as_float_vector(values, name: str) -> np.ndarray:
 
 
 def _check_prob_vector(p: np.ndarray, name: str) -> None:
-    if np.any(p < 0):
-        raise NegativeWeight(f"{name} has a negative entry")
+    if np.any(~(p >= 0)):
+        raise NegativeWeight(f"{name} has a negative or NaN entry")
     if abs(float(p.sum()) - 1.0) > NORM_TOL:
         raise InvalidDistribution(f"{name} entries sum to {p.sum()!r}, not 1")
 
@@ -79,8 +79,8 @@ class JointDistribution:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 2 or p.size == 0:
             raise DimensionMismatch("joint probs must be a 2-D matrix")
-        if np.any(p < 0):
-            raise NegativeWeight("JointDistribution has a negative entry")
+        if np.any(~(p >= 0)):
+            raise NegativeWeight("JointDistribution has a negative or NaN entry")
         if abs(float(p.sum()) - 1.0) > NORM_TOL:
             raise InvalidDistribution("JointDistribution entries do not sum to 1")
         object.__setattr__(self, "probs", _freeze(p))
@@ -110,8 +110,8 @@ class Channel:
         if r.ndim != 2 or r.size == 0:
             raise DimensionMismatch("channel rows must form a 2-D matrix")
         for i, row in enumerate(r):
-            if np.any(row < 0):
-                raise NegativeWeight(f"channel row {i} has a negative entry")
+            if np.any(~(row >= 0)):
+                raise NegativeWeight(f"channel row {i} has a negative or NaN entry")
             if abs(float(row.sum()) - 1.0) > NORM_TOL:
                 raise InvalidDistribution(f"channel row {i} does not sum to 1")
         object.__setattr__(self, "rows", _freeze(r))
@@ -172,8 +172,8 @@ class RngStream:
 def make_distribution(weights) -> Distribution:
     """Normalize non-negative weights into a Distribution."""
     w = _as_float_vector(weights, "weights")
-    if np.any(w < 0):
-        raise NegativeWeight("weights must be non-negative")
+    if np.any(~(w >= 0)):
+        raise NegativeWeight("weights must be non-negative numbers")
     total = float(w.sum())
     if total <= 0:
         raise AllZero("at least one weight must be positive")

@@ -7,15 +7,22 @@ information-ratio threshold decoder or maximum likelihood; the rate-distortion
 simulator draws a reproduction codebook and asks whether some codeword both
 clears the pairwise score margin and meets the distortion budget.
 
-Codebooks have floor(exp(n*rate)) rows.  When that is small enough the
-protocol is simulated literally (the materialize paths, which draw a
-codebook per trial from substream i).  Beyond the operation guard the
-simulators switch to an exact conditional form: given the block, the
+Codebooks have floor(exp(n*rate)) rows.  A protocol can be simulated
+literally (the materialize paths, which draw a codebook per trial from
+substream i) or in an exact conditional form: given the block, the
 competing codewords are i.i.d., so the trial's success probability is a
 computable function of the block's type, and one Bernoulli draw per trial
 reproduces the protocol's success distribution without materializing the
 codebook.  Both paths are deterministic given (config, seed) and agree in
-distribution.
+distribution.  ``method="auto"`` takes the conditional path for fresh
+codebooks unless its largest score lattice is over ``LATTICE_GUARD`` while
+the literal run fits ``OPS_GUARD``; a fixed codebook is always literal.
+
+The literal paths draw every symbol as ``Generator.choice`` would, from the
+same uniforms compared with the same normalized cumulative sums
+(:func:`_draw`), and score a whole codebook with one flat ``take`` and a
+plain row sum (:func:`_literal_scores`): a score table holds no +inf or
+NaN, so no term needs masking.
 
 Both conditional paths use one score law, :class:`_ScoreLaw`: a rival
 codeword's score (and, for rate-distortion, its distortion) is a sum of
@@ -76,11 +83,32 @@ def _report(successes: int, trials: int, rng: RngStream) -> TrialReport:
     return TrialReport(int(successes), trials, p, half, rng.seed)
 
 
-def _sample_rows(rows: np.ndarray, x: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    """One draw from rows[x_j] for each position j."""
-    cum = np.cumsum(rows, axis=1)
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """The thresholds ``Generator.choice`` compares a uniform with: the
+    cumulative sum of p divided by its last entry, which is dropped."""
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return cdf[:-1]
+
+
+def _draw(gen: np.random.Generator, cdf: np.ndarray, shape) -> np.ndarray:
+    """Symbols of the law with thresholds ``cdf`` (from :func:`_cdf`), the
+    same draws as ``Generator.choice`` with that law: each symbol counts the
+    thresholds at or below its uniform, which is what choice's
+    ``searchsorted(side="right")`` returns, and the stream advances by the
+    same ``gen.random(shape)``."""
+    u = gen.random(shape)
+    words = np.zeros(u.shape, dtype=np.int64)
+    for c in cdf:
+        words += u >= c
+    return words
+
+
+def _sample_rows(cum_rows: np.ndarray, x: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+    """One draw from row x_j for each position j, given the rows' cumulative
+    sums."""
     u = gen.random(x.size)
-    return (u[:, None] > cum[x]).sum(axis=1)
+    return (u[:, None] > cum_rows[x]).sum(axis=1)
 
 
 def _masked_dot(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -255,13 +283,28 @@ class _ScoreLaw:
         return score
 
 
+def _largest_lattice(law: _ScoreLaw, n: int) -> int:
+    """Points in the largest lattice ``law`` can build for blocks of length
+    n: the most, over compositions (m_j) of n into its groups, of
+    prod_j count_types(k_j, m_j) for a group of k_j atoms.  Raising m_j by
+    one multiplies a factor by (m_j + k_j)/(m_j + 1), which falls with m_j,
+    so the n largest of these steps over all groups make the largest
+    product."""
+    sizes = [atoms[0].size for atoms in law.atoms]
+    m = np.arange(n)
+    steps = np.concatenate([(m + k) / (m + 1) for k in sizes])
+    taken = np.bincount(np.argsort(-steps, kind="stable")[:n] // n, minlength=len(sizes))
+    return math.prod(count_types(k, int(c)) for k, c in zip(sizes, taken))
+
+
 def _literal_scores(g: np.ndarray, words: np.ndarray, block: np.ndarray) -> np.ndarray:
     """Score of each literal codeword (a row of ``words``) against the block:
-    the sum of g[word_j, block_j], -inf wherever one term is."""
-    picked = g[words, block[None, :]]
-    with np.errstate(invalid="ignore"):
-        return np.where(np.isneginf(picked).any(axis=1), -np.inf,
-                        np.where(np.isfinite(picked), picked, 0.0).sum(axis=1))
+    the sum of g[word_j, block_j], gathered by one flat take.  No term is
+    masked: g holds no +inf or NaN (ln W <= 0 for a channel; for
+    rate-distortion a finite number minus ln q_hat, with q_hat > 0 checked),
+    so the plain sum is -inf exactly where one term is and bit-identical to
+    a masked sum elsewhere."""
+    return g.take(words * g.shape[1] + block).sum(axis=1)
 
 
 def _log_pow_one_minus(log_eps: float, log_m: float) -> float:
@@ -300,8 +343,10 @@ def simulate_channel_coding(channel: Channel, input_dist: Distribution, rate: fl
       succeeds iff it passes and no other index does (Feinstein's rule).
       ``ml``: argmax log likelihood with uniform tie-break.
 
-    method ``auto`` materializes codebooks while N_m*n*trials fits the guard,
-    otherwise switches to the exact conditional form (fresh codebooks only).
+    method ``auto`` takes the exact conditional form for fresh codebooks
+    unless its score lattice would be over the lattice guard while the
+    literal run, N_m*n*trials operations, fits the operation guard; fixed
+    codebooks are always materialized.
     """
     if rng is None:
         raise ValueError("an RngStream is required")
@@ -315,22 +360,31 @@ def simulate_channel_coding(channel: Channel, input_dist: Distribution, rate: fl
     if log_m < _LN2:
         raise ValueError("codebook needs at least 2 rows; raise rate or n")
 
-    if _resolve_method(method, log_m, n, trials) == "materialize":
+    law = None  # the conditional path's score law; fixed codebooks have none
+    if fresh_codebook:
+        with np.errstate(divide="ignore"):
+            law = _ScoreLaw(np.log(channel.rows), np.log(input_dist.probs))
+    if _resolve_method(method, log_m, n, trials, law) == "materialize":
         return _channel_materialized(channel, input_dist, rate, n, trials,
                                      decoder, rng, fresh_codebook, codebook_size(rate, n))
-    if not fresh_codebook:
+    if law is None:
         raise CodebookTooLarge("fixed-codebook runs require materialization")
-    return _channel_conditional(channel, input_dist, rate, n, trials, decoder, rng, log_m)
+    return _channel_conditional(channel, input_dist, law, rate, n, trials, decoder, rng, log_m)
 
 
-def _resolve_method(method: str, log_m: float, n: int, trials: int) -> str:
+def _resolve_method(method: str, log_m: float, n: int, trials: int,
+                    law: _ScoreLaw | None) -> str:
     """``materialize`` or ``conditional``.  A materialized run costs
     N_m*n*trials operations; that count is compared with the guard in log
-    space, so N_m need not exist as a number."""
+    space, so N_m need not exist as a number.  ``auto`` takes the exact
+    conditional path for a fresh-codebook run (``law`` given) unless its
+    largest lattice is over ``LATTICE_GUARD`` while the literal run fits
+    ``OPS_GUARD``; a fixed codebook is drawn literally."""
     budget = OPS_GUARD / (n * trials)
     fits = budget > 0 and log_m <= math.log(budget)
     if method == "auto":
-        return "materialize" if fits else "conditional"
+        literal = fits and (law is None or _largest_lattice(law, n) > LATTICE_GUARD)
+        return "materialize" if literal else "conditional"
     if method == "materialize" and not fits:
         raise CodebookTooLarge(
             f"materialized run needs ~e^{log_m + math.log(n * trials):.1f} operations"
@@ -348,23 +402,23 @@ def _channel_materialized(channel, input_dist, rate, n, trials, decoder, rng,
     with np.errstate(divide="ignore"):
         log_rows = np.log(rows)
         log_p_out = np.log(p_in @ rows)
+    cum_rows = np.cumsum(rows, axis=1)
+    cdf_in = _cdf(p_in)
     fixed_words = None
     if not fresh_codebook:
-        fixed_words = rng.substream(2**31).generator().choice(
-            p_in.size, size=(n_m, n), p=p_in)
+        fixed_words = _draw(rng.substream(2**31).generator(), cdf_in, (n_m, n))
     successes = 0
     for i in range(trials):
         gen = rng.substream(i).generator()
-        words = fixed_words if fixed_words is not None else gen.choice(
-            p_in.size, size=(n_m, n), p=p_in)
+        words = fixed_words if fixed_words is not None else _draw(gen, cdf_in, (n_m, n))
         m = int(gen.integers(n_m))
-        y = _sample_rows(rows, words[m], gen)
+        y = _sample_rows(cum_rows, words[m], gen)
         scores = _literal_scores(log_rows, words, y)
         s_true = scores[m]
-        others = np.delete(scores, m)
-        top = others.max() if others.size else -math.inf
         if not np.isfinite(s_true):
             continue
+        scores[m] = -np.inf  # the rivals' best is the maximum of the rest
+        top = scores.max()
         if decoder == "threshold":
             thresh = n * rate + float(log_p_out[y].sum())
             successes += bool(s_true > thresh and not top > thresh)
@@ -372,19 +426,19 @@ def _channel_materialized(channel, input_dist, rate, n, trials, decoder, rng,
             if s_true > top:
                 successes += 1
             elif s_true == top:
-                ties = 1 + int(np.count_nonzero(others == top))
+                ties = 1 + int(np.count_nonzero(scores == top))
                 successes += bool(gen.random() < 1.0 / ties)
     return _report(successes, trials, rng)
 
 
-def _channel_conditional(channel, input_dist, rate, n, trials, decoder, rng, log_m) -> TrialReport:
+def _channel_conditional(channel, input_dist, law, rate, n, trials, decoder, rng,
+                         log_m) -> TrialReport:
     """Scores are summed log likelihoods ln P(y|x).  The output-marginal term
     ln P_Y(y) of the information ratio is common to all codewords, so the
     threshold decoder adds it to its threshold instead."""
     rows = channel.rows
     p_in = input_dist.probs
     with np.errstate(divide="ignore"):
-        law = _ScoreLaw(np.log(rows), np.log(p_in))
         log_p_out = np.log(p_in @ rows)
     lattices: dict[tuple, tuple] = {}  # (score, log-probability) by pooled output count
     # ln(N_m - 1) rivals, from the integer size wherever it exists
@@ -529,22 +583,22 @@ def simulate_rate_distortion(source: Distribution, test_channel: Channel, d, D: 
     budget = n * D + 1e-9 * max(1.0, n * D)
     margin = n * rate
 
-    if _resolve_method(method, log_m, n, trials) == "materialize":
+    law = _ScoreLaw(g, np.log(q_hat), d.T)
+    if _resolve_method(method, log_m, n, trials, law) == "materialize":
         return _rd_materialized(source, q_hat, g, d, budget, margin, n, trials, rng,
                                 codebook_size(rate, n))
-    return _rd_conditional(source, _ScoreLaw(g, np.log(q_hat), d.T), budget, margin, n, trials,
-                           rng, log_m)
+    return _rd_conditional(source, law, budget, margin, n, trials, rng, log_m)
 
 
 def _rd_materialized(source, q_hat, g, d, budget, margin, n, trials, rng, n_m) -> TrialReport:
-    p = source.probs
+    cdf_source, cdf_hat = _cdf(source.probs), _cdf(q_hat)
     successes = 0
     for i in range(trials):
         gen = rng.substream(i).generator()
-        x = gen.choice(p.size, size=n, p=p)
-        words = gen.choice(q_hat.size, size=(n_m, n), p=q_hat)
+        x = _draw(gen, cdf_source, n)
+        words = _draw(gen, cdf_hat, (n_m, n))
         scores = _literal_scores(g, words, x)
-        dists = d[x[None, :], words].sum(axis=1)
+        dists = _literal_scores(d.T, words, x)  # the sum of d[x_j, word_j]
         meets = dists <= budget
         if not np.any(meets):
             continue

@@ -54,6 +54,31 @@ def test_channel_rows_validated():
     assert ch.input_size == ch.output_size == 2
 
 
+
+def test_distribution_rejects_nan():
+    """NaN is no probability: it fails as a negative entry does, where
+    abs(sum - 1) > tol alone would pass it (every comparison with NaN is
+    False)."""
+    with pytest.raises(NegativeWeight):
+        Distribution(np.array([np.nan, np.nan]))
+    with pytest.raises(NegativeWeight):
+        distribution_from_json('{"probs": [NaN, 1.0]}')
+
+
+def test_channel_rejects_nan():
+    with pytest.raises(NegativeWeight):
+        Channel(np.array([[np.nan, np.nan], [0.5, 0.5]]))
+
+
+def test_joint_distribution_rejects_nan():
+    with pytest.raises(NegativeWeight):
+        JointDistribution(np.array([[np.nan, 0.5], [0.25, 0.25]]))
+
+
+def test_make_distribution_rejects_nan():
+    with pytest.raises(NegativeWeight):
+        make_distribution([np.nan, 1.0])
+
 def test_joint_from_identity_channel():
     ident = Channel(np.eye(2))
     j = joint_from(ident, uniform_distribution(2))

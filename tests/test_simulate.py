@@ -1,6 +1,7 @@
 """Protocol simulators: against exact oracles, across both execution paths,
 and for reproducibility."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -26,18 +27,26 @@ from ptshannon import (
     source_coding_exact_psuc,
     uniform_distribution,
 )
-from ptshannon.errors import CodebookTooLarge, DegenerateMarginal
+from ptshannon.errors import CodebookTooLarge, DegenerateMarginal, InfeasibleDistortion
 from ptshannon.simulate import (
+    LATTICE_GUARD,
     TRIAL_BLOCK,
+    _cdf,
+    _draw,
+    _largest_lattice,
+    _literal_scores,
     _log_mass,
     _log_pow_one_minus,
     _ml_win_probability,
     _ScoreLaw,
 )
-from ptshannon.type_classes import type_array
+from ptshannon.type_classes import count_types, type_array
 
 from oracles import binary_rd_success, bsc_exact_success, dmc_exact_success
 
+# Z channel: input 0 is received intact, so ln W holds -inf
+Z_ROWS = [[1.0, 0.0], [0.3, 0.7]]
+BEC_ROWS = [[0.8, 0.2, 0.0], [0.0, 0.2, 0.8]]
 # asymmetric channel whose output marginal is far from uniform
 ASYM_ROWS = [[0.8, 0.15, 0.05], [0.2, 0.7, 0.1], [0.3, 0.3, 0.4]]
 ASYM_INPUT = [0.6, 0.3, 0.1]
@@ -118,6 +127,60 @@ def test_channel_paths_match_exact_oracle():
                                           RngStream(17), method=method)
             sigma = math.sqrt(max(oracle * (1 - oracle), 1e-6) / trials)
             assert abs(rep.p_hat - oracle) <= 4 * sigma, (decoder, method)
+
+
+@given(st.lists(st.floats(0, 1) | st.just(0.0), min_size=1, max_size=6)
+       .filter(lambda w: sum(w) > 0),
+       st.lists(st.integers(1, 5), min_size=0, max_size=2), st.integers(0, 2**32))
+@example([0.0, 1.0, 0.0], [7], 0)
+@example([1.0], [3, 2], 0)
+def test_draw_equals_generator_choice(weights, shape, seed):
+    """Draw for draw the same symbols as ``Generator.choice`` with the same
+    law, zero-mass symbols included, with the same dtype, and the stream
+    left where choice leaves it."""
+    p = make_distribution(weights).probs
+    want_gen, got_gen = (RngStream(seed).generator() for _ in range(2))
+    want = want_gen.choice(p.size, size=tuple(shape), p=p)
+    got = _draw(got_gen, _cdf(p), tuple(shape))
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert got_gen.random() == want_gen.random()
+
+
+def _masked_scores(g: np.ndarray, words: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Reference literal scores: -inf where a term is, else the sum of the
+    finite terms."""
+    picked = g[words, block[None, :]]
+    return np.where(np.isneginf(picked).any(axis=1), -np.inf,
+                    np.where(np.isfinite(picked), picked, 0.0).sum(axis=1))
+
+
+@pytest.mark.parametrize("rows", [Z_ROWS, BEC_ROWS], ids=["z", "bec"])
+def test_literal_scores_equal_masked_sum(rows):
+    """The flat take-and-sum equals the masked reference bit for bit on
+    channels whose ln W holds -inf.  The block is the channel's output for
+    the first word, so that word scores finite, and most rivals -inf."""
+    rows = np.array(rows)
+    with np.errstate(divide="ignore"):
+        g = np.log(rows)
+    gen = RngStream(3).generator()
+    for n in (1, 5, 17):
+        words = gen.integers(rows.shape[0], size=(300, n))
+        block = np.array([gen.choice(rows.shape[1], p=rows[x]) for x in words[0]])
+        want = _masked_scores(g, words, block)
+        assert np.array_equal(_literal_scores(g, words, block), want)
+        assert np.isfinite(want[0]) and np.isneginf(want).any(), n
+
+
+def test_literal_z_channel_matches_exact_oracle():
+    """The literal path on a Z channel, where ln W holds -inf, against the
+    exact joint-type sum; a numpy warning on the way fails the test."""
+    n, rate, trials = 12, 0.3, 2000
+    for decoder in ("threshold", "ml"):
+        exact = dmc_exact_success(Z_ROWS, [0.5, 0.5], rate, n, decoder)
+        assert 0.2 < exact < 0.8
+        rep = simulate_channel_coding(Channel(np.array(Z_ROWS)), uniform_distribution(2), rate,
+                                      n, trials, decoder, RngStream(19), method="materialize")
+        assert abs(rep.p_hat - exact) <= 3 * math.sqrt(exact * (1 - exact) / trials), decoder
 
 
 def test_channel_threshold_paths_agree_with_nonuniform_output():
@@ -272,6 +335,41 @@ def test_conditional_rd_ternary_count_pinned():
     assert rep.successes == 264
 
 
+BSC_11 = [[0.89, 0.11], [0.11, 0.89]]
+CHANNEL_3X3 = [[0.73, 0.17, 0.10], [0.13, 0.79, 0.08], [0.29, 0.23, 0.48]]
+# (channel rows, input, rate, n, fresh codebook) -> successes (threshold, ml) at
+# seeds 1..5, 200 trials each
+PINNED_LITERAL_CHANNEL_RUNS = [
+    (BSC_11, [0.5, 0.5], 0.30, 24, True,
+     ([123, 124, 111, 127, 119], [155, 161, 159, 160, 161])),
+    (CHANNEL_3X3, [0.6, 0.3, 0.1], 0.25, 20, True,
+     ([79, 72, 68, 83, 71], [138, 118, 117, 132, 124])),
+    (BSC_11, [0.5, 0.5], 0.30, 24, False,
+     ([140, 118, 104, 126, 118], [166, 160, 155, 164, 157])),
+]
+
+
+@pytest.mark.parametrize("rows, p_in, rate, n, fresh, want", PINNED_LITERAL_CHANNEL_RUNS,
+                         ids=["bsc-n24", "3x3-n20", "bsc-n24-fixed"])
+def test_literal_channel_counts_pinned(rows, p_in, rate, n, fresh, want):
+    """Literal-codebook success counts for seeds 1-5, exactly: a change to
+    how codewords are drawn or scored that moves any draw shows here."""
+    got = tuple([simulate_channel_coding(Channel(np.array(rows)), make_distribution(p_in), rate,
+                                         n, 200, decoder, RngStream(seed),
+                                         fresh_codebook=fresh, method="materialize").successes
+                 for seed in range(1, 6)] for decoder in ("threshold", "ml"))
+    assert got == want
+
+
+def test_literal_rd_counts_pinned():
+    """Binary rate-distortion on the literal path, BSC(0.1) test channel,
+    D = 0.1, rate 0.4, n = 20: success counts for seeds 1-5, exactly."""
+    got = [simulate_rate_distortion(uniform_distribution(2), binary_symmetric_channel(0.1),
+                                    hamming_distortion(2), 0.1, 0.4, 20, 100, RngStream(seed),
+                                    method="materialize").successes for seed in range(1, 6)]
+    assert got == [47, 46, 52, 46, 47]
+
+
 @given(small_channel_runs())
 def test_channel_ml_dominates_threshold_on_same_draws(run):
     """Both decoders see the same types and uniforms, and a type that the
@@ -407,6 +505,52 @@ def test_channel_lattice_guard_checked_before_enumeration():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("rows, n", [
+    (ASYM_ROWS, 7),
+    (BEC_ROWS, 9),
+    ([[0.89, 0.11], [0.11, 0.89]], 11),
+    ([[0.5, 0.3, 0.2, 0.0], [0.1, 0.1, 0.1, 0.7]], 6),
+], ids=["3x3", "bec", "bsc", "2x4"])
+def test_largest_lattice_is_the_largest_composition(rows, n):
+    """The greedy largest lattice equals the maximum of the product of the
+    groups' type counts over every composition of n into the groups."""
+    with np.errstate(divide="ignore"):
+        law = _ScoreLaw(np.log(np.array(rows)), np.log(np.full(len(rows), 1 / len(rows))))
+    sizes = [atoms[0].size for atoms in law.atoms]
+    brute = max(math.prod(count_types(k, m) for k, m in zip(sizes, key))
+                for key in itertools.product(range(n + 1), repeat=len(sizes)) if sum(key) == n)
+    assert _largest_lattice(law, n) == brute
+
+
+def test_auto_prefers_the_conditional_path():
+    """A fresh-codebook run that fits both paths takes the conditional one,
+    for channels and rate-distortion alike; a fixed codebook stays literal."""
+    ch, u = binary_symmetric_channel(0.11), uniform_distribution(2)
+    for decoder in ("threshold", "ml"):
+        assert (simulate_channel_coding(ch, u, 0.35, 18, 500, decoder, RngStream(3))
+                == simulate_channel_coding(ch, u, 0.35, 18, 500, decoder, RngStream(3),
+                                           method="conditional"))
+    args = (u, binary_symmetric_channel(0.2), hamming_distortion(2), 0.2, 0.15, 60, 200)
+    assert (simulate_rate_distortion(*args, RngStream(4))
+            == simulate_rate_distortion(*args, RngStream(4), method="conditional"))
+    assert (simulate_channel_coding(ch, u, 0.3, 24, 50, "ml", RngStream(5),
+                                    fresh_codebook=False)
+            == simulate_channel_coding(ch, u, 0.3, 24, 50, "ml", RngStream(5),
+                                       fresh_codebook=False, method="materialize"))
+
+
+def test_auto_materializes_when_the_lattice_is_over_its_guard():
+    """The cyclic 4-ary channel at n = 287 pools into one lattice of
+    4 022 880 points, over LATTICE_GUARD; a codebook of 17 words fits the
+    operation guard, so ``auto`` draws it literally."""
+    rows = np.array([np.roll([0.4, 0.3, 0.2, 0.1], s) for s in range(4)])
+    law = _ScoreLaw(np.log(rows), np.log(np.full(4, 0.25)))
+    assert _largest_lattice(law, 287) == count_types(4, 287) > LATTICE_GUARD
+    args = (Channel(rows), uniform_distribution(4), 0.01, 287, 5, "ml")
+    assert (simulate_channel_coding(*args, RngStream(1))
+            == simulate_channel_coding(*args, RngStream(1), method="materialize"))
 
 
 def test_channel_noiseless_pools_to_two_atoms():
@@ -560,6 +704,17 @@ def test_rd_deterministic():
     a = simulate_rate_distortion(u, tc, d, 0.1, 0.45, 80, 600, RngStream(31))
     b = simulate_rate_distortion(u, tc, d, 0.1, 0.45, 80, 600, RngStream(31))
     assert a == b
+
+
+def test_rd_nan_distortion_rejected():
+    """A NaN distortion entry is rejected up front, as a negative one is,
+    instead of giving a report."""
+    d = np.array([[0.0, np.nan], [1.0, 0.0]])
+    with pytest.raises(InfeasibleDistortion):
+        simulate_rate_distortion(uniform_distribution(2), binary_symmetric_channel(0.1), d,
+                                 0.1, 0.4, 20, 10, RngStream(1))
+    with pytest.raises(InfeasibleDistortion):
+        rate_distortion(uniform_distribution(2), d, 0.1)
 
 
 def test_rd_degenerate_marginal_rejected():
