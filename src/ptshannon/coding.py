@@ -33,7 +33,7 @@ def codebook_size(rate: float, n: int) -> int:
     an integer exactly (e.g. n*rate = k ln 2) from flooring through it.
     Beyond n*rate = 700 no codebook can be materialized and the size is not
     built: `log_codebook_size` carries it there."""
-    if rate <= 0 or n < 1:
+    if not rate > 0 or n < 1:
         raise ValueError("rate must be positive and n >= 1")
     if n * rate > MAX_LOG_CODEBOOK:
         raise CodebookTooLarge(
@@ -65,7 +65,7 @@ class SourceCodingSetup:
     mode: str = SOURCE_DEPENDENT
 
     def __post_init__(self):
-        if self.rate <= 0:
+        if not self.rate > 0:
             raise ValueError("rate must be positive")
         if self.n < 1:
             raise ValueError("n must be >= 1")

@@ -118,7 +118,7 @@ def capacity(channel: Channel, tol: float = CAPACITY_TOL) -> CapacityResult:
     sum_y W ln W are taken once, over the outputs some input reaches; with
     every r_x > 0 the output law q is positive there.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     rows = channel.rows[:, channel.rows.any(axis=0)]
     h_rows = _xlogx(rows).sum(axis=1)
@@ -205,7 +205,7 @@ def rate_distortion(source: Distribution, d, D: float,
     The loop exits when the two are within ``tol``; else q moves to p @ W.
     Symbols the source never emits keep their least-distortion reproduction.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     d = _validate_distortion_matrix(source, d)
     p = source.probs
@@ -220,7 +220,7 @@ def rate_distortion(source: Distribution, d, D: float,
 
     least = d.min(axis=1)
     least_avg = float(p @ least)
-    if D < least_avg:
+    if not D >= least_avg:
         raise InfeasibleDistortion(
             f"D = {D!r} is below the least achievable distortion {least_avg!r}")
     budget = D - least_avg

@@ -36,6 +36,9 @@ Lattices are unsorted folds, built once per run and queried per block:
 each answers each distinct question of the channel decoder once, by a
 log-sum-exp over just the points above (or equal to) a score, so nothing
 on the channel path sorts.  The rate-distortion failure sum sorts once.
+The channel path scores a block's new joint types in one batched pass
+(their scores, thresholds and pooled output counts are arrays), and the
+tail math runs once per distinct (lattice, question), not once per type.
 
 The conditional paths and the source simulator share one trial kernel
 (:func:`_type_trials`): it draws types directly by multinomial sampling,
@@ -250,6 +253,13 @@ class _ScoreLaw:
             self.group[b], order = groups[law]
             self.atom[live, b] = [order.index(q) for q in pairs]
         self.member = np.eye(len(self.atoms), dtype=np.int64)[self.group]
+        # per group: its block symbols, and a one-hot map from the group's
+        # (codeword symbol, block symbol) cells, flattened, to its atoms
+        self.cells = []
+        for j, (values, *_) in enumerate(self.atoms):
+            cols = np.flatnonzero(self.group == j)
+            onehot = np.eye(values.size, dtype=np.int64)[self.atom[:, cols].ravel()]
+            self.cells.append((cols, onehot))
 
     def key(self, col_counts: np.ndarray) -> np.ndarray:
         """Pooled count per group of each block type (the last axis runs
@@ -267,19 +277,17 @@ class _ScoreLaw:
                 folded = part if folded is None else _fold(folded, part)
         return folded
 
-    def score(self, joint_counts: np.ndarray) -> float:
-        """Score of the word whose joint (codeword, block) type is given,
-        group by group through the lattice's own arithmetic, so exact-equality
-        lookups in the lattice are meaningful."""
-        score = 0.0
-        for j, m in enumerate(self.key(joint_counts.sum(axis=0))):
-            if m:
-                cols = self.group == j
-                values = self.atoms[j][0]
-                counts = np.bincount(self.atom[:, cols].ravel(),
-                                     weights=joint_counts[:, cols].ravel(),
-                                     minlength=values.size)
-                score += float(_masked_dot(counts[None, :], values)[0])
+    def score(self, joint: np.ndarray) -> np.ndarray:
+        """Scores of a stack of words, one per joint (codeword, block) type
+        along the first axis, all in one batched pass.  Each group's atom
+        counts come from one product with its one-hot map and are scored by
+        :func:`_masked_dot`, the lattice's own arithmetic, and the groups
+        add in order from 0.0, as the lattice folds them (a group with no
+        count adds 0.0), so exact-equality lookups in the lattice are
+        meaningful."""
+        score = np.zeros(joint.shape[0])
+        for (values, *_), (cols, onehot) in zip(self.atoms, self.cells):
+            score += _masked_dot(joint[:, :, cols].reshape(joint.shape[0], -1) @ onehot, values)
         return score
 
 
@@ -435,7 +443,12 @@ def _channel_conditional(channel, input_dist, law, rate, n, trials, decoder, rng
                          log_m) -> TrialReport:
     """Scores are summed log likelihoods ln P(y|x).  The output-marginal term
     ln P_Y(y) of the information ratio is common to all codewords, so the
-    threshold decoder adds it to its threshold instead."""
+    threshold decoder adds it to its threshold instead.
+
+    Each block's new joint types are scored in one batched pass and grouped
+    by pooled output count, then by the decoder's question; the tail math
+    runs once per distinct (lattice, question) and its answer is scattered
+    back to the types that asked it."""
     rows = channel.rows
     p_in = input_dist.probs
     with np.errstate(divide="ignore"):
@@ -449,34 +462,40 @@ def _channel_conditional(channel, input_dist, law, rate, n, trials, decoder, rng
         # input type, then each input row's outputs: the joint (x, y) type
         return gen.multinomial(gen.multinomial(n, p_in, size=size), rows)
 
-    def p_win(joint_types: list[tuple]) -> list[float]:
-        """Win probability of each new joint type.  The decoder's question
-        to the rival lattice is a score t: the threshold for ``threshold``,
-        the sent word's score for ``ml``.  Types are grouped by pooled
-        output count, and each lattice answers each distinct t once."""
-        p = [0.0] * len(joint_types)
-        asks: dict[tuple, list] = {}  # pooled output count -> [(type index, t)]
-        for i, key in enumerate(joint_types):
-            joint_counts = np.array(key).reshape(rows.shape)
-            y_counts = joint_counts.sum(axis=0)
-            s_true = t = law.score(joint_counts)
-            if decoder == "threshold":
-                t = n * rate + float(_masked_dot(y_counts[None, :], log_p_out)[0])
-                if not s_true > t:
-                    continue  # the sent word fails its own threshold
-            asks.setdefault(tuple(law.key(y_counts).tolist()), []).append((i, t))
-        for pooled, queries in asks.items():
+    def win(values, log_pmf, t: float) -> float:
+        """Win probability given the rival lattice and the decoder's
+        question t: the threshold for ``threshold``, the sent word's score
+        for ``ml``."""
+        log_gt = _log_mass(log_pmf, values > t)
+        if decoder == "ml":
+            return _ml_win_probability(log_gt, _log_mass(log_pmf, values == t), log_m,
+                                       log_rivals)
+        # the sent word passes, and none of the N_m - 1 rivals does
+        return math.exp(_log_pow_one_minus(log_gt, log_rivals))
+
+    def p_win(joint_types: list[tuple]) -> np.ndarray:
+        """Win probability of each new joint type, in one batched pass: the
+        types' scores, thresholds and pooled output counts are arrays; each
+        pooled count's lattice answers each distinct question once, and the
+        answers are scattered back to the types."""
+        joint = np.array(joint_types).reshape(-1, *rows.shape)
+        y_counts = joint.sum(axis=1)
+        t = law.score(joint)
+        p = np.zeros(t.size)
+        asked = np.arange(t.size)
+        if decoder == "threshold":
+            thresholds = n * rate + _masked_dot(y_counts, log_p_out)
+            asked = np.flatnonzero(t > thresholds)  # the others fail their own threshold
+            t = thresholds
+        keys, key_of = np.unique(law.key(y_counts[asked]), axis=0, return_inverse=True)
+        key_of = key_of.reshape(-1)
+        for k, pooled in enumerate(map(tuple, keys.tolist())):
             if pooled not in lattices:
                 lattices[pooled] = law.lattice(pooled)
-            values, log_pmf = lattices[pooled]
-            log_gt = {t: _log_mass(log_pmf, values > t) for t in {t for _, t in queries}}
-            if decoder == "ml":
-                log_eq = {t: _log_mass(log_pmf, values == t) for t in log_gt}
-            for i, t in queries:
-                if decoder == "ml":
-                    p[i] = _ml_win_probability(log_gt[t], log_eq[t], log_m, log_rivals)
-                else:  # the sent word passes, and none of the N_m - 1 rivals does
-                    p[i] = math.exp(_log_pow_one_minus(log_gt[t], log_rivals))
+            types = asked[key_of == k]
+            questions, question_of = np.unique(t[types], return_inverse=True)
+            answers = np.array([win(*lattices[pooled], q) for q in questions.tolist()])
+            p[types] = answers[question_of.reshape(-1)]
         return p
 
     return _type_trials(trials, rng, draw, _per_type(p_win))
@@ -566,7 +585,7 @@ def simulate_rate_distortion(source: Distribution, test_channel: Channel, d, D: 
     if trials < 1:
         raise ValueError("trials must be >= 1")
     d = _validate_distortion_matrix(source, d)
-    if D < 0:
+    if not D >= 0:
         raise ValueError("D must be non-negative")
     if test_channel.input_size != source.alphabet_size:
         raise DimensionMismatch("test channel does not match the source")

@@ -49,6 +49,16 @@ def test_codebook_size_convention():
         codebook_size(1.12, 700)
 
 
+def test_nan_rate_rejected_as_non_positive():
+    """A NaN rate raises the error a non-positive rate raises, in the
+    codebook size and in the source-coding set-up alike."""
+    for rate in (0.0, math.nan):
+        with pytest.raises(ValueError, match="rate must be positive"):
+            codebook_size(rate, 10)
+        with pytest.raises(ValueError, match="rate must be positive"):
+            SourceCodingSetup(make_distribution([0.9, 0.1]), rate, 10)
+
+
 # --- source coding -------------------------------------------------------------
 
 def test_exact_psuc_saturates_when_every_block_is_encodable():

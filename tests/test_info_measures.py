@@ -184,6 +184,13 @@ def test_capacity_identity_channel():
     assert res.gap_bound <= 1e-9
 
 
+def test_capacity_nan_tol_rejected():
+    """A NaN tolerance raises as a zero one does, before any step."""
+    for tol in (0.0, math.nan):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            capacity(binary_symmetric_channel(0.1), tol=tol)
+
+
 def test_capacity_useless_channel():
     res = capacity(Channel(np.array([[0.3, 0.7], [0.3, 0.7]])))
     assert res.capacity_nats == pytest.approx(0.0, abs=1e-12)
@@ -308,6 +315,17 @@ def test_rate_distortion_below_least_distortion_raises():
     pt = rate_distortion(src, d, 1.0)
     assert pt.distortion == pytest.approx(1.0, abs=1e-12)
     assert pt.rate_nats == pytest.approx(LN2, abs=1e-9)
+
+
+def test_rate_distortion_nan_parameters_rejected():
+    """A NaN distortion is infeasible, as a negative one is, and a NaN
+    tolerance raises as a zero one does, before any step."""
+    src, d = uniform_distribution(2), hamming_distortion(2)
+    with pytest.raises(InfeasibleDistortion):
+        rate_distortion(src, d, math.nan)
+    for tol in (0.0, math.nan):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            rate_distortion(src, d, 0.1, tol=tol)
 
 
 def test_rate_distortion_at_vanishing_reproduction():

@@ -37,6 +37,7 @@ from ptshannon.simulate import (
     _literal_scores,
     _log_mass,
     _log_pow_one_minus,
+    _masked_dot,
     _ml_win_probability,
     _ScoreLaw,
 )
@@ -50,6 +51,7 @@ BEC_ROWS = [[0.8, 0.2, 0.0], [0.0, 0.2, 0.8]]
 # asymmetric channel whose output marginal is far from uniform
 ASYM_ROWS = [[0.8, 0.15, 0.05], [0.2, 0.7, 0.1], [0.3, 0.3, 0.4]]
 ASYM_INPUT = [0.6, 0.3, 0.1]
+TERNARY_SYMMETRIC_ROWS = [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]
 # (channel, input, largest n drawn) for the property tests
 SMALL_CHANNELS = {
     "bsc": (binary_symmetric_channel(0.11), uniform_distribution(2), 30),
@@ -236,20 +238,59 @@ def test_pooled_channels_match_exact_dmc_oracle(rows, p_in):
         assert abs(rep.p_hat - exact) <= 3 * math.sqrt(exact * (1 - exact) / trials), decoder
 
 
-@pytest.mark.parametrize("rows", [
-    [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]],
-    ASYM_ROWS,
-], ids=["ternary-symmetric", "3x3"])
+@pytest.mark.parametrize("rows", [TERNARY_SYMMETRIC_ROWS, ASYM_ROWS],
+                         ids=["ternary-symmetric", "3x3"])
 def test_sent_score_is_a_lattice_point(rows):
-    """For every joint type at n = 5 the sent word's score is one of the
-    rival lattice's own points, bit for bit, so ML finds its tie mass.  The
-    ternary symmetric channel repeats ln 0.1 within each column; that value
-    is one atom, summed once."""
+    """For every joint type at n = 5, all scored in one call, the sent
+    word's score is one of the rival lattice's own points, bit for bit, so
+    ML finds its tie mass.  The ternary symmetric channel repeats ln 0.1
+    within each column; that value is one atom, summed once."""
     rows = np.array(rows)
     law = _ScoreLaw(np.log(rows), np.log(np.full(3, 1 / 3)))
-    for joint in type_array(9, 5).reshape(-1, 3, 3):
+    joints = type_array(9, 5).reshape(-1, 3, 3)
+    for joint, score in zip(joints, law.score(joints), strict=True):
         values, log_pmf = law.lattice(law.key(joint.sum(axis=0)))
-        assert _log_mass(log_pmf, values == law.score(joint)) > -math.inf
+        assert _log_mass(log_pmf, values == score) > -math.inf
+
+
+def _score_per_type(law: _ScoreLaw, joint: np.ndarray) -> float:
+    """Reference score of one joint type: group by group, each group's
+    atom counts by a weighted bincount, the scores added from 0.0 with the
+    empty groups skipped."""
+    score = 0.0
+    for j, m in enumerate(law.key(joint.sum(axis=0))):
+        if m:
+            cols = law.group == j
+            values = law.atoms[j][0]
+            counts = np.bincount(law.atom[:, cols].ravel(), weights=joint[:, cols].ravel(),
+                                 minlength=values.size)
+            score += float(_masked_dot(counts[None, :], values)[0])
+    return score
+
+
+# (channel rows, input) whose score laws the batched score is checked on;
+# Z and BEC hold -inf atoms
+SCORED_CHANNELS = {
+    "3x3": (ASYM_ROWS, ASYM_INPUT),
+    "ternary-symmetric": (TERNARY_SYMMETRIC_ROWS, [1 / 3, 1 / 3, 1 / 3]),
+    "z": (Z_ROWS, [0.5, 0.5]),
+    "bec": (BEC_ROWS, [0.5, 0.5]),
+}
+
+
+@given(st.sampled_from(sorted(SCORED_CHANNELS)), st.data())
+def test_batched_score_equals_per_type_reference(name, data):
+    """One batched call scores a stack of joint types bit for bit as the
+    per-type reference does, -inf scores included (counts on cells where
+    ln W is -inf)."""
+    rows, p_in = (np.array(x) for x in SCORED_CHANNELS[name])
+    with np.errstate(divide="ignore"):
+        law = _ScoreLaw(np.log(rows), np.log(p_in))
+    cells = st.lists(st.integers(0, 12), min_size=rows.size, max_size=rows.size)
+    joints = np.array(data.draw(st.lists(cells, min_size=1, max_size=12))).reshape(-1, *rows.shape)
+    want = np.array([_score_per_type(law, joint) for joint in joints])
+    got = law.score(joints)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def _sorted_tails(values: np.ndarray, log_pmf: np.ndarray, t: float) -> tuple:
@@ -287,6 +328,10 @@ def test_log_mass_of_no_mass_is_minus_inf():
     assert _log_mass(log_pmf, np.ones(3, dtype=bool)) == 0.0
 
 
+# BSC(0.11) capacity and dispersion, for a rate one standard deviation below
+# capacity at n = 1800
+BSC_CAPACITY = math.log(2) + 0.11 * math.log(0.11) + (1 - 0.11) * math.log(1 - 0.11)
+BSC_DISPERSION = 0.11 * (1 - 0.11) * math.log((1 - 0.11) / 0.11) ** 2
 # (channel rows, input, rate, n, trials, seed) -> successes (threshold, ml)
 PINNED_CHANNEL_RUNS = [
     ([[0.89, 0.11], [0.11, 0.89]], [0.5, 0.5], 0.3, 250, 1000, 101, (857, 915)),
@@ -298,12 +343,21 @@ PINNED_CHANNEL_RUNS = [
     ([[0.73, 0.17, 0.10], [0.13, 0.79, 0.08], [0.29, 0.23, 0.48]], [0.6, 0.3, 0.1],
      0.25, 24, 400, 106, (150, 257)),
     ([[0.93, 0.07], [0.19, 0.81]], [0.55, 0.45], 0.3, 400, 400, 107, (274, 320)),
+    # the runs below span three trial blocks, so the per-type memo and the
+    # lattice cache carry over from block to block
+    ([[0.89, 0.11], [0.11, 0.89]], [0.5, 0.5],
+     BSC_CAPACITY - math.sqrt(BSC_DISPERSION / 1800), 1800, 2500, 109, (2067, 2176)),
+    # above capacity at n = 30, where ML success is dominated by ties
+    ([[0.89, 0.11], [0.11, 0.89]], [0.5, 0.5], 0.4, 30, 2500, 110, (787, 1301)),
+    # every output pools into one group whose atoms repeat ln 0.1
+    (TERNARY_SYMMETRIC_ROWS, [1 / 3, 1 / 3, 1 / 3], 0.4, 30, 2500, 111, (1499, 1968)),
 ]
 
 
 @pytest.mark.parametrize("rows, p_in, rate, n, trials, seed, want", PINNED_CHANNEL_RUNS,
                          ids=["bsc", "3x3", "binary-asymmetric", "3x3-n20", "3x3-n24",
-                              "binary-asymmetric-n400"])
+                              "binary-asymmetric-n400", "bsc-n1800-blocks", "bsc-n30-ties",
+                              "ternary-symmetric-n30"])
 def test_conditional_channel_counts_pinned(rows, p_in, rate, n, trials, seed, want):
     """Success counts for fixed seeds, exactly: a change to the score
     lattice that moves any draw or decision shows here."""
@@ -715,6 +769,19 @@ def test_rd_nan_distortion_rejected():
                                  0.1, 0.4, 20, 10, RngStream(1))
     with pytest.raises(InfeasibleDistortion):
         rate_distortion(uniform_distribution(2), d, 0.1)
+
+
+def test_nan_rate_and_distortion_rejected():
+    """A NaN rate or distortion budget raises the error an out-of-range
+    one raises, instead of a float-to-int error or a report of 0 successes."""
+    u, bsc = uniform_distribution(2), binary_symmetric_channel(0.1)
+    for rate in (-0.1, math.nan):
+        with pytest.raises(ValueError, match="rate must be positive"):
+            simulate_channel_coding(bsc, u, rate, 20, 10, "ml", RngStream(1))
+    for D in (-0.1, math.nan):
+        with pytest.raises(ValueError, match="D must be non-negative"):
+            simulate_rate_distortion(u, bsc, hamming_distortion(2), D, 0.4, 20, 10,
+                                     RngStream(1))
 
 
 def test_rd_degenerate_marginal_rejected():
