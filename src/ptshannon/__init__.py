@@ -11,8 +11,6 @@ from .alphabet import (
     JointDistribution,
     RngStream,
     binary_symmetric_channel,
-    channel_from_json,
-    distribution_from_json,
     info_ratio,
     joint_from,
     make_distribution,

@@ -11,7 +11,6 @@ parallel Monte Carlo runs reproducible.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +33,7 @@ def _as_float_vector(values, name: str) -> np.ndarray:
     return arr
 
 
-def _check_prob_vector(p: np.ndarray, name: str) -> None:
+def _check_probs(p: np.ndarray, name: str) -> None:
     if np.any(~(p >= 0)):
         raise NegativeWeight(f"{name} has a negative or NaN entry")
     if abs(float(p.sum()) - 1.0) > NORM_TOL:
@@ -55,7 +54,7 @@ class Distribution:
 
     def __post_init__(self):
         p = _as_float_vector(self.probs, "probs")
-        _check_prob_vector(p, "Distribution")
+        _check_probs(p, "Distribution")
         object.__setattr__(self, "probs", _freeze(p))
 
     @property
@@ -79,10 +78,7 @@ class JointDistribution:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 2 or p.size == 0:
             raise DimensionMismatch("joint probs must be a 2-D matrix")
-        if np.any(~(p >= 0)):
-            raise NegativeWeight("JointDistribution has a negative or NaN entry")
-        if abs(float(p.sum()) - 1.0) > NORM_TOL:
-            raise InvalidDistribution("JointDistribution entries do not sum to 1")
+        _check_probs(p, "JointDistribution")
         object.__setattr__(self, "probs", _freeze(p))
         # both marginals must themselves be valid Distributions
         self.marginal_x()
@@ -110,10 +106,7 @@ class Channel:
         if r.ndim != 2 or r.size == 0:
             raise DimensionMismatch("channel rows must form a 2-D matrix")
         for i, row in enumerate(r):
-            if np.any(~(row >= 0)):
-                raise NegativeWeight(f"channel row {i} has a negative or NaN entry")
-            if abs(float(row.sum()) - 1.0) > NORM_TOL:
-                raise InvalidDistribution(f"channel row {i} does not sum to 1")
+            _check_probs(row, f"channel row {i}")
         object.__setattr__(self, "rows", _freeze(r))
 
     @property
@@ -208,23 +201,3 @@ def info_ratio(joint: JointDistribution, x: int, y: int) -> float:
     if px <= 0 or py <= 0:
         raise ZeroMarginal(f"marginal mass vanishes at x={x} (P={px}) or y={y} (P={py})")
     return float(joint.probs[x, y]) / (px * py)
-
-
-# --- JSON literals ----------------------------------------------------------
-
-def distribution_from_json(text: str) -> Distribution:
-    """Parse {"probs": [...]}; rejected unless already normalized."""
-    doc = json.loads(text)
-    if not isinstance(doc, dict) or "probs" not in doc:
-        raise InvalidDistribution('expected a JSON object {"probs": [...]}')
-    p = _as_float_vector(doc["probs"], "probs")
-    _check_prob_vector(p, "JSON distribution")
-    return Distribution(p)
-
-
-def channel_from_json(text: str) -> Channel:
-    """Parse {"rows": [[...], ...]}; every row must be a valid distribution."""
-    doc = json.loads(text)
-    if not isinstance(doc, dict) or "rows" not in doc:
-        raise InvalidDistribution('expected a JSON object {"rows": [[...], ...]}')
-    return Channel(np.asarray(doc["rows"], dtype=float))

@@ -67,7 +67,7 @@ def _row(check, detail, value, reference, tol, status=None) -> Row:
 
 # --- counting identities ---------------------------------------------------------
 
-def partition_rows(max_n: int = 14) -> list[Row]:
+def partition_rows(max_n: int) -> list[Row]:
     """Type classes partition the sequence space: exact size sum and the
     probability normalization sum over the lattice."""
     rows = []
@@ -120,7 +120,7 @@ def density_rows() -> list[Row]:
     return rows
 
 
-def chain_rule_rows(max_n: int = 8) -> list[Row]:
+def chain_rule_rows(max_n: int) -> list[Row]:
     """Conditional-class counting identities, binary x binary, exact integers."""
     rows = []
     for n in range(2, max_n + 1):
@@ -132,7 +132,7 @@ def chain_rule_rows(max_n: int = 8) -> list[Row]:
     return rows
 
 
-def conditional_class_rows(max_n: int = 8) -> list[Row]:
+def conditional_class_rows(max_n: int) -> list[Row]:
     """Conditional class sizes, binary x binary, against a brute-force count:
     against x = 0^k 1^(n-k), y realizes the joint type ((k-b, b), (n-k-d, d))
     with b, d its ones in the first k and last n-k places.  Every y in
@@ -295,7 +295,7 @@ def det_expansion_rows(rng: RngStream) -> list[Row]:
                  status="pass" if ok else "fail")]
 
 
-def smoothed_delta_rows(n: int = 200, eps: float = 0.05) -> list[Row]:
+def smoothed_delta_rows(n: int, eps: float) -> list[Row]:
     """Normalization of the smoothed type delta.
 
     The continuous form and its lattice discretization are both gated
@@ -352,30 +352,30 @@ def saddle_rows() -> list[Row]:
     return rows
 
 
-def run_all(params: dict, rng: RngStream, appendix_only: bool = False) -> list[Row]:
+def run_all(rng: RngStream, appendix_only: bool = False, *, partition_max_n: int = 14,
+            chain_rule_max_n: int = 8, delta_n: int = 200,
+            delta_eps: float = 0.05) -> list[Row]:
     """Every row, or only the polytope-integral rows with ``appendix_only``.
     The enumeration guards run before any row is computed."""
     rows: list[Row] = []
     if not appendix_only:
-        max_n = int(params.get("partition_max_n", 14))
-        if count_types(3, max_n) * 3**max_n > 10**9:
+        # each power is capped at n = 64, far past its guard, so a huge n fails at once
+        if count_types(3, partition_max_n) * 3**min(partition_max_n, 64) > 10**9:
             raise InstanceTooLarge(
-                f"check type_partition: n={max_n} exceeds the enumeration guard")
-        chain_n = int(params.get("chain_rule_max_n", 8))
-        if chain_n * 2**chain_n > ENUMERATION_GUARD:
-            raise InstanceTooLarge(
-                f"check conditional_class_count: n={chain_n} exceeds the enumeration guard")
-        rows += partition_rows(max_n)
+                f"check type_partition: n={partition_max_n} exceeds the enumeration guard")
+        if chain_rule_max_n * 2**min(chain_rule_max_n, 64) > ENUMERATION_GUARD:
+            raise InstanceTooLarge(f"check conditional_class_count: n={chain_rule_max_n} "
+                                   "exceeds the enumeration guard")
+        rows += partition_rows(partition_max_n)
         rows += stirling_rows()
         rows += density_rows()
-        rows += chain_rule_rows(chain_n)
-        rows += conditional_class_rows(chain_n)
+        rows += chain_rule_rows(chain_rule_max_n)
+        rows += conditional_class_rows(chain_rule_max_n)
         rows += saddle_rows()
     rows += dirichlet_rows()
     rows += gaussian_rows(rng)
     rows += conditional_gaussian_rows(rng)
     rows += rank_one_rows(rng)
     rows += det_expansion_rows(rng)
-    rows += smoothed_delta_rows(int(params.get("delta_n", 200)),
-                                float(params.get("delta_eps", 0.05)))
+    rows += smoothed_delta_rows(delta_n, delta_eps)
     return rows

@@ -22,13 +22,17 @@ to capacity, rd-curve and sweep.
 Outputs start with a comment line recording the config hash and seed, so a
 run is fully reproducible from its config file; repeated runs are
 byte-identical.  Exit codes: 0 all checks pass, 1 a check failed, 2 config
-or runtime error.
+or runtime error.  Every parameter is parsed before any work, and any
+malformed value (a wrong type, a value out of range, a non-numeric or ragged
+array, a missing required key) exits 2 with a message naming
+``parameters.<key>``.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -43,7 +47,7 @@ from .coding import (
     source_coding_asymptote,
 )
 from .errors import ConfigInvalid, IoFailure, PtShannonError
-from .info_measures import capacity, rate_distortion, rate_distortion_curve
+from .info_measures import CAPACITY_TOL, capacity, rate_distortion, rate_distortion_curve
 from .simulate import (
     simulate_channel_coding,
     simulate_rate_distortion,
@@ -52,16 +56,73 @@ from .simulate import (
 
 LN2 = math.log(2.0)
 SWEEP_KINDS = ("source-coding", "channel-coding", "rate-distortion")
-_SWEEP_KEYS = {"n_grid", "rate_grid", "trials"}
-PARAMETER_KEYS = {
-    "claims": {"partition_max_n", "chain_rule_max_n", "delta_n", "delta_eps"},
-    "integrals": {"delta_n", "delta_eps"},
-    "capacity": {"channel", "tol"},
-    "rd-curve": {"source", "d", "D_grid"},
-    "source-coding": _SWEEP_KEYS | {"source", "mode"},
-    "channel-coding": _SWEEP_KEYS | {"channel", "input", "decoder"},
-    "rate-distortion": _SWEEP_KEYS | {"source", "d", "D"},
+
+
+def _number(kind, ok, what):
+    """Parser of one JSON number, as ``kind`` (float or int), for which ``ok``
+    holds; a bool (an int to Python) fails, and for int a non-integral value."""
+    def parse(value):
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or (kind is int and value % 1) or not ok(value)):
+            raise ValueError(f"{value!r} is not {what}")
+        return kind(value)
+    return parse
+
+
+_real = _number(float, lambda x: not math.isnan(x), "a number")
+_positive = _number(float, lambda x: x > 0, "a positive number")
+_count = _number(int, lambda x: x >= 1, "an integer >= 1")
+_natural = _number(int, lambda x: x >= 0, "an integer >= 0")
+
+
+def _array(value) -> np.ndarray:
+    """A JSON array of numbers, nested to any depth, as a float array
+    (numpy rejects ragged nesting); its shape is the consumer's to check."""
+    if not isinstance(value, list):
+        raise ValueError(f"{value!r} is not an array")
+    return np.array([_array(v) if isinstance(v, list) else _real(v) for v in value])
+
+
+def _grid(entry):
+    def parse(value):
+        if not isinstance(value, list) or not value:
+            raise ValueError(f"{value!r} is not a non-empty array")
+        return [entry(v) for v in value]
+    return parse
+
+
+def _choice(*options):
+    def parse(value):
+        if value not in options:
+            raise ValueError(f"{value!r} is not one of {options}")
+        return value
+    return parse
+
+
+def _of(cls):
+    """Parser of a JSON array of numbers into ``cls``, whose constructor
+    checks it."""
+    return lambda value: cls(_array(value))
+
+
+# Every parameter key of each kind, with its parser.  A key the config omits
+# takes its default where it is used, unless it is in _REQUIRED.
+_SWEEP = {"n_grid": _grid(_count), "rate_grid": _grid(_positive), "trials": _count}
+PARAMETERS = {
+    "claims": {"partition_max_n": _natural, "chain_rule_max_n": _natural,
+               "delta_n": _count, "delta_eps": _real},
+    "integrals": {"delta_n": _count, "delta_eps": _real},
+    "capacity": {"channel": _of(Channel), "tol": _positive},
+    "rd-curve": {"source": _of(Distribution), "d": _array, "D_grid": _grid(_real)},
+    "source-coding": _SWEEP | {"source": _of(Distribution),
+                               "mode": _choice("source-dependent", "universal")},
+    "channel-coding": _SWEEP | {"channel": _of(Channel), "input": _of(Distribution),
+                                "decoder": _choice("threshold", "ml")},
+    "rate-distortion": _SWEEP | {"source": _of(Distribution), "d": _array,
+                                 "D": _number(float, lambda x: x >= 0, "a number >= 0")},
 }
+PARAMETER_KEYS = {kind: set(keys) for kind, keys in PARAMETERS.items()}
+_REQUIRED = {"channel", "source", "d", "D", "D_grid", "n_grid", "rate_grid"}
 
 
 def _fmt(x) -> str:
@@ -99,43 +160,30 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigInvalid(msg)
 
 
-def _validate_common(doc: dict, kinds) -> None:
+def _validate_common(doc: dict, kinds) -> dict:
+    """Check the config's kind, output path and seed, and return its
+    parameters, each parsed by the kind's table; any failure names its key."""
     _require(doc.get("kind") in kinds, f"kind must be one of {kinds}")
     _require(isinstance(doc.get("output_path"), str) and doc["output_path"],
              "output_path is required")
     params = doc.get("parameters", {})
     _require(isinstance(params, dict), "parameters must be an object")
-    unknown = sorted(set(params) - PARAMETER_KEYS[doc["kind"]])
+    table = PARAMETERS[doc["kind"]]
+    unknown = sorted(set(params) - set(table))
     _require(not unknown, f"unknown parameters for kind {doc['kind']}: {unknown}")
     seed = doc.get("seed", 0)
-    _require(isinstance(seed, int) and 0 <= seed < 2**64, "seed must be a u64")
-
-
-def _grid(params: dict, key: str, kind=float) -> list:
-    val = params.get(key)
-    _require(isinstance(val, list) and val, f"parameters.{key} must be a non-empty list")
-    try:
-        return [kind(v) for v in val]
-    except (TypeError, ValueError):
-        raise ConfigInvalid(f"parameters.{key} entries must be {kind.__name__}")
-
-
-def _distribution(params: dict, key: str) -> Distribution:
-    val = params.get(key)
-    _require(isinstance(val, list) and val, f"parameters.{key} must be a probability list")
-    try:
-        return Distribution(np.asarray(val, dtype=float))
-    except PtShannonError as exc:
-        raise ConfigInvalid(f"parameters.{key}: {exc}") from exc
-
-
-def _channel(params: dict, key: str = "channel") -> Channel:
-    val = params.get(key)
-    _require(isinstance(val, list) and val, f"parameters.{key} must be a row-stochastic matrix")
-    try:
-        return Channel(np.asarray(val, dtype=float))
-    except PtShannonError as exc:
-        raise ConfigInvalid(f"parameters.{key}: {exc}") from exc
+    _require(isinstance(seed, int) and not isinstance(seed, bool) and 0 <= seed < 2**64,
+             "seed must be a u64")
+    parsed = {}
+    for key, parse in table.items():
+        if key not in params:
+            _require(key not in _REQUIRED, f"parameters.{key} is required")
+            continue
+        try:
+            parsed[key] = parse(params[key])
+        except (TypeError, ValueError, OverflowError) as exc:  # PtShannonError is a ValueError
+            raise ConfigInvalid(f"parameters.{key}: {exc}") from exc
+    return parsed
 
 
 def _write_csv(doc: dict, header: list[str], rows: list[list]) -> None:
@@ -158,22 +206,17 @@ def _maybe_bits(value: float, bits: bool) -> float:
 # --- subcommand bodies ---------------------------------------------------------
 
 def run_claims(doc: dict, appendix_only: bool = False) -> int:
-    _validate_common(doc, ("integrals",) if appendix_only else ("claims",))
-    rows = claims_mod.run_all(doc.get("parameters", {}), RngStream(doc.get("seed", 0)),
-                              appendix_only=appendix_only)
+    params = _validate_common(doc, ("integrals",) if appendix_only else ("claims",))
+    rows = claims_mod.run_all(RngStream(doc.get("seed", 0)), appendix_only, **params)
     header = ["check", "detail", "value", "reference", "error", "tolerance", "status"]
     _write_csv(doc, header, [list(r) for r in rows])
-    failed = [r for r in rows if r[6] == "fail"]
-    return 1 if failed else 0
+    return 1 if any(r[6] == "fail" for r in rows) else 0
 
 
 def run_capacity(doc: dict, bits: bool) -> int:
-    _validate_common(doc, ("capacity",))
-    params = doc["parameters"]
-    ch = _channel(params)
-    tol = float(params.get("tol", 1e-9))
-    _require(tol > 0, "tol must be positive")
-    res = capacity(ch, tol)
+    params = _validate_common(doc, ("capacity",))
+    ch = params["channel"]
+    res = capacity(ch, params.get("tol", CAPACITY_TOL))
     unit = "bits" if bits else "nats"
     header = [f"capacity_{unit}", "gap_bound", "iterations"] + [
         f"p_input_{i}" for i in range(ch.input_size)]
@@ -184,13 +227,9 @@ def run_capacity(doc: dict, bits: bool) -> int:
 
 
 def run_rd_curve(doc: dict, bits: bool) -> int:
-    _validate_common(doc, ("rd-curve",))
-    params = doc["parameters"]
-    source = _distribution(params, "source")
-    d = np.asarray(params.get("d", []), dtype=float)
-    _require(d.ndim == 2 and d.size > 0, "parameters.d must be a distortion matrix")
-    grid = _grid(params, "D_grid")
-    points = rate_distortion_curve(source, d, grid)
+    params = _validate_common(doc, ("rd-curve",))
+    grid = params["D_grid"]
+    points = rate_distortion_curve(params["source"], params["d"], grid)
     unit = "bits" if bits else "nats"
     header = ["D", f"rate_{unit}"]
     rows = [[D, _maybe_bits(pt.rate_nats, bits)] for D, pt in zip(grid, points)]
@@ -199,56 +238,39 @@ def run_rd_curve(doc: dict, bits: bool) -> int:
 
 
 def run_sweep(doc: dict, bits: bool) -> int:
-    _validate_common(doc, SWEEP_KINDS)
+    """One row per (n, rate) of the grid, each from its own substream: the
+    kind supplies the simulator run and the predictor value."""
+    params = _validate_common(doc, SWEEP_KINDS)
     kind = doc["kind"]
-    params = doc["parameters"]
     trials = params.get("trials", 1000)
-    _require(isinstance(trials, int) and trials >= 1, "parameters.trials must be >= 1")
-    n_grid = _grid(params, "n_grid", int)
-    rate_grid = _grid(params, "rate_grid")
-    _require(all(n >= 1 for n in n_grid), "n_grid entries must be >= 1")
-    _require(all(r > 0 for r in rate_grid), "rate_grid entries must be positive")
-    base = RngStream(doc.get("seed", 0))
-
-    rows = []
     if kind == "source-coding":
-        source = _distribution(params, "source")
-        mode = params.get("mode", "source-dependent")
-        _require(mode in ("source-dependent", "universal"),
-                 "mode must be source-dependent or universal")
-        for idx, (n, rate) in enumerate((n, r) for n in n_grid for r in rate_grid):
-            setup = SourceCodingSetup(source, rate, n, mode)
-            rep = simulate_source_coding(setup, trials, base.substream(idx))
-            rows.append([n, _maybe_bits(rate, bits), trials, rep.p_hat,
-                         rep.ci95_halfwidth, float(source_coding_asymptote(setup))])
+        def point(n, rate, rng):
+            setup = SourceCodingSetup(params["source"], rate, n,
+                                      params.get("mode", "source-dependent"))
+            return (simulate_source_coding(setup, trials, rng),
+                    float(source_coding_asymptote(setup)))
     elif kind == "channel-coding":
-        ch = _channel(params)
-        if "input" in params:
-            input_dist = _distribution(params, "input")
-        else:
-            input_dist = capacity(ch, 1e-9).optimal_input
+        ch = params["channel"]
+        input_dist = params["input"] if "input" in params else capacity(ch).optimal_input
         decoder = params.get("decoder", "threshold")
-        _require(decoder in ("threshold", "ml"), "decoder must be threshold or ml")
-        for idx, (n, rate) in enumerate((n, r) for n in n_grid for r in rate_grid):
-            pred = channel_coding_prediction(ch, input_dist, rate, n)
-            rep = simulate_channel_coding(ch, input_dist, rate, n, trials,
-                                          decoder, base.substream(idx))
-            rows.append([n, _maybe_bits(rate, bits), trials, rep.p_hat,
-                         rep.ci95_halfwidth, pred.p_suc_erfc])
-    else:  # rate-distortion
-        source = _distribution(params, "source")
-        d = np.asarray(params.get("d", []), dtype=float)
-        _require(d.ndim == 2 and d.size > 0, "parameters.d must be a distortion matrix")
-        D = params.get("D")
-        _require(isinstance(D, (int, float)) and D >= 0, "parameters.D must be >= 0")
-        point = rate_distortion(source, d, float(D))
-        threshold = point.rate_nats
-        for idx, (n, rate) in enumerate((n, r) for n in n_grid for r in rate_grid):
-            rep = simulate_rate_distortion(source, point.optimal_test_channel, d,
-                                           float(D), rate, n, trials,
-                                           base.substream(idx))
-            rows.append([n, _maybe_bits(rate, bits), trials, rep.p_hat,
-                         rep.ci95_halfwidth, float(rate > threshold)])
+
+        def point(n, rate, rng):
+            return (simulate_channel_coding(ch, input_dist, rate, n, trials, decoder, rng),
+                    channel_coding_prediction(ch, input_dist, rate, n).p_suc_erfc)
+    else:  # rate-distortion: the predictor is the step at R(D)
+        source, d, D = params["source"], params["d"], params["D"]
+        target = rate_distortion(source, d, D)
+
+        def point(n, rate, rng):
+            return (simulate_rate_distortion(source, target.optimal_test_channel, d, D,
+                                             rate, n, trials, rng),
+                    float(rate > target.rate_nats))
+    base = RngStream(doc.get("seed", 0))
+    rows = []
+    for idx, (n, rate) in enumerate(itertools.product(params["n_grid"], params["rate_grid"])):
+        rep, predicted = point(n, rate, base.substream(idx))
+        rows.append([n, _maybe_bits(rate, bits), trials, rep.p_hat, rep.ci95_halfwidth,
+                     predicted])
     _write_csv(doc, ["n", "rate", "trials", "p_hat", "ci95", "predictor_value"], rows)
     return 0
 

@@ -9,7 +9,6 @@ tolerance, so every result reports a certified gap.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -69,7 +68,7 @@ def conditional_mutual_information(triple: np.ndarray) -> float:
     p = np.asarray(triple, dtype=float)
     if p.ndim != 3:
         raise DimensionMismatch("conditional MI needs a 3-axis joint p[x, y, lam]")
-    if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
+    if np.any(~(p >= 0)) or abs(p.sum() - 1.0) > 1e-12:
         raise DimensionMismatch("triple joint must be a normalized probability array")
     h_xl = _entropy_raw(p.sum(axis=1))
     h_yl = _entropy_raw(p.sum(axis=0))
@@ -149,7 +148,7 @@ class RateDistortionPoint:
 
 def _validate_distortion_matrix(source: Distribution, d: np.ndarray) -> np.ndarray:
     d = np.asarray(d, dtype=float)
-    if d.ndim != 2 or d.shape[0] != source.alphabet_size:
+    if d.ndim != 2 or d.shape[0] != source.alphabet_size or d.size == 0:
         raise DimensionMismatch("distortion matrix must be (source symbols) x (reproductions)")
     if np.any(~(d >= 0)):
         raise InfeasibleDistortion("distortion entries must be non-negative numbers")
@@ -250,17 +249,6 @@ def rate_distortion(source: Distribution, d, D: float,
 def rate_distortion_curve(source: Distribution, d, grid) -> list[RateDistortionPoint]:
     """Evaluate the rate-distortion function on a grid of distortions."""
     return [rate_distortion(source, d, float(D)) for D in grid]
-
-
-def distortion_from_json(text: str) -> np.ndarray:
-    """Parse a distortion matrix literal {"d": [[...], ...]}."""
-    doc = json.loads(text)
-    if not isinstance(doc, dict) or "d" not in doc:
-        raise DimensionMismatch('expected a JSON object {"d": [[...], ...]}')
-    d = np.asarray(doc["d"], dtype=float)
-    if d.ndim != 2:
-        raise DimensionMismatch("distortion matrix must be 2-D")
-    return d
 
 
 def hamming_distortion(n: int) -> np.ndarray:

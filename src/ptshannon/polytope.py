@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alphabet import Distribution, RngStream
+from .alphabet import Distribution
 from .errors import (
     DimensionMismatch,
     InstanceTooLarge,
@@ -280,25 +280,3 @@ def det_first_order(A, eps: float) -> float:
     A = np.asarray(A, dtype=float)
     return 1.0 + eps * float(np.trace(A))
 
-
-# --- Monte Carlo oracle ---------------------------------------------------------
-
-def simplex_uniform_sample(dim: int, size: int, rng: RngStream) -> np.ndarray:
-    """Uniform points on the (dim-1)-simplex via normalized exponential draws."""
-    gen = rng.generator()
-    e = gen.standard_exponential(size=(size, dim))
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def simplex_mc_integral(f, dim: int, samples: int, rng: RngStream) -> tuple[float, float]:
-    """Monte Carlo estimate of int DP f(P) with its standard error.
-
-    Uniform sampling has density (dim-1)! relative to the DP measure, so the
-    estimate is mean(f)/ (dim-1)!.
-    """
-    pts = simplex_uniform_sample(dim, samples, rng)
-    vals = np.asarray(f(pts), dtype=float)
-    scale = math.factorial(dim - 1)
-    est = float(vals.mean()) / scale
-    se = float(vals.std(ddof=1)) / math.sqrt(samples) / scale
-    return est, se

@@ -7,11 +7,10 @@ class sizes (big-integer, and logs gathered from one log-factorial table), the
 Stirling-based asymptotic size estimate, type enumeration, conditional types,
 and the exact counting identities that tie them together.
 
-Types are enumerated two ways, in the same lexicographic order:
-`type_array` returns every count vector as one row of an int64 array, for
-numeric sums over the type lattice; `compositions` and `enumerate_types`
-yield them one at a time as tuples and `SequenceType` objects.  The
-identities checked here:
+Types are enumerated once, in lexicographic order: `type_array` returns
+every count vector as one row of an int64 array, for numeric sums over the
+type lattice, and `enumerate_types` yields its rows as `SequenceType`
+objects.  The identities checked here:
 
   * the classes partition the sequence space: sum of sizes = N^n;
   * conditional class size = joint class size / marginal class size;
@@ -200,21 +199,9 @@ def class_size_int(t: SequenceType) -> int:
 
 # --- enumeration -----------------------------------------------------------------
 
-def compositions(n: int, parts: int) -> Iterator[tuple]:
-    """All ways to write n as an ordered sum of `parts` non-negative ints,
-    in lexicographic order."""
-    if parts == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in compositions(n - first, parts - 1):
-            yield (first,) + rest
-
-
 def type_array(parts: int, n: int) -> np.ndarray:
     """Every composition of n into `parts` non-negative parts as one
-    (count_types(parts, n), parts) int64 array, in the order of
-    `compositions`.
+    (count_types(parts, n), parts) int64 array, in lexicographic order.
 
     Stars and bars: the parts - 1 bar positions among n + parts - 1 slots,
     taken in lexicographic order, fix the counts as the gaps between
@@ -235,11 +222,14 @@ def type_array(parts: int, n: int) -> np.ndarray:
 
 
 def enumerate_types(alphabet_size: int, n: int) -> Iterator[SequenceType]:
-    """Every type with blocklength n, lexicographic in the count vector."""
+    """Every type with blocklength n, lexicographic in the count vector.  The
+    whole `type_array` is built at the first step, after the size guard."""
     if alphabet_size < 1 or n < 1:
         raise DimensionMismatch("alphabet_size and n must be positive")
-    for counts in compositions(n, alphabet_size):
-        yield SequenceType(counts, n)
+    if count_types(alphabet_size, n) > ENUMERATION_GUARD:
+        raise InstanceTooLarge("type count exceeds the enumeration guard")
+    for counts in type_array(alphabet_size, n).tolist():
+        yield SequenceType(tuple(counts), n)
 
 
 def count_types(alphabet_size: int, n: int) -> int:
@@ -303,14 +293,6 @@ class TypeCountReport:
     lhs_sequence_count: int     # sum over x-classes of d_x * sum of d_{y|x}
     rhs_sequence_count: int     # (nx * ny)^n
 
-    @property
-    def class_counts_equal(self) -> bool:
-        return self.lhs_class_count == self.rhs_class_count
-
-    @property
-    def sequence_counts_equal(self) -> bool:
-        return self.lhs_sequence_count == self.rhs_sequence_count
-
 
 def type_count_identity_check(nx: int, ny: int, n: int) -> TypeCountReport:
     """Verify the chain-rule counting identities by exact enumeration.
@@ -323,16 +305,13 @@ def type_count_identity_check(nx: int, ny: int, n: int) -> TypeCountReport:
         raise InstanceTooLarge("type grid exceeds the enumeration guard")
     lhs_classes = 0
     lhs_sequences = 0
-    for t in enumerate_types(nx, n):
-        d_x = class_size_int(t)
+    for counts in type_array(nx, n).tolist():
+        d_x = multinomial_int(counts)
         cond_classes = 1
         cond_size_total = 1
-        for cnt in t.counts:
-            per_row_classes = count_types(ny, cnt) if cnt > 0 else 1
-            cond_classes *= per_row_classes
-            cond_size_total *= sum(
-                multinomial_int(comp) for comp in compositions(cnt, ny)
-            )
+        for cnt in counts:
+            cond_classes *= count_types(ny, cnt)
+            cond_size_total *= sum(map(multinomial_int, type_array(ny, cnt).tolist()))
         lhs_classes += cond_classes
         lhs_sequences += d_x * cond_size_total
     rhs_classes = count_types(nx * ny, n)

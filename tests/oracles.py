@@ -1,6 +1,6 @@
-"""Independent closed-form oracles shared by the simulator, polytope and
-acceptance tests.  They use only integer counts and binomial sums, never the
-package's score lattices or type arrays."""
+"""Independent oracles shared by the simulator, polytope and acceptance
+tests: closed forms, integer counts and binomial sums, never the package's
+score lattices or type arrays, and a Monte Carlo integral over the simplex."""
 
 import itertools
 import math
@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import gammaln
 
-from ptshannon import codebook_size
+from ptshannon import RngStream, codebook_size
 
 LN2 = math.log(2.0)
 
@@ -26,6 +26,10 @@ def bsc_exact_success(n: int, rate: float, flip: float, decoder: str) -> float:
     ``threshold``: a word passes iff its information ratio exceeds n*rate;
     success iff the sent word passes and none of the N_m - 1 rivals does.
     ``ml``: the sent word has the fewest disagreements, ties broken uniformly.
+    With g = P(a rival has fewer) and e = P(a rival ties) that is
+    (1-g)^(N_m-1) (1 - (1-q)^N_m) / (N_m q), q = e / (1-g), as in
+    `dmc_exact_success`; the difference of powers ((1-g)^N_m - (1-g-e)^N_m)
+    / (N_m e) would cancel once N_m e is tiny.
     """
     n_m = codebook_size(rate, n)
     j = np.arange(n + 1)
@@ -52,14 +56,12 @@ def bsc_exact_success(n: int, rate: float, flip: float, decoder: str) -> float:
 
     total = 0.0
     for jj in range(n + 1):
-        w = float(np.exp(log_pj[jj]))
-        p_gt = p_ge(n - jj + 1)
-        p_eq = float(np.exp(log_bk[n - jj]))
-        p_less = max(1.0 - p_gt - p_eq, 0.0)
-        if p_eq > 0:
-            total += w * ((1 - p_gt) ** n_m - p_less ** n_m) / (n_m * p_eq)
-        else:
-            total += w * p_less ** (n_m - 1)
+        g, e = p_ge(n - jj + 1), float(np.exp(log_bk[n - jj]))
+        if g < 1.0:
+            q = e / (1.0 - g)
+            covered = -math.expm1(n_m * math.log1p(-q)) if q < 1.0 else 1.0
+            tie_factor = covered / (n_m * q) if q > 0 else 1.0
+            total += float(np.exp(log_pj[jj])) * math.exp((n_m - 1) * math.log1p(-g)) * tie_factor
     return total
 
 
@@ -73,6 +75,27 @@ def smoothed_delta_sequence_sum(n: int, eps: float, alphabet_size: int) -> float
     """
     lam0 = 1.0 / eps ** 2
     return (lam0 / (lam0 + n * alphabet_size / 4.0)) ** ((alphabet_size - 1) / 2.0)
+
+
+def simplex_uniform_sample(dim: int, size: int, rng: RngStream) -> np.ndarray:
+    """Uniform points on the (dim-1)-simplex via normalized exponential draws."""
+    gen = rng.generator()
+    e = gen.standard_exponential(size=(size, dim))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def simplex_mc_integral(f, dim: int, samples: int, rng: RngStream) -> tuple[float, float]:
+    """Monte Carlo estimate of int DP f(P) with its standard error.
+
+    Uniform sampling has density (dim-1)! relative to the DP measure, so the
+    estimate is mean(f)/ (dim-1)!.
+    """
+    pts = simplex_uniform_sample(dim, samples, rng)
+    vals = np.asarray(f(pts), dtype=float)
+    scale = math.factorial(dim - 1)
+    est = float(vals.mean()) / scale
+    se = float(vals.std(ddof=1)) / math.sqrt(samples) / scale
+    return est, se
 
 
 def binary_rd_success(n: int, D: float, rate: float) -> float:

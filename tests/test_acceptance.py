@@ -67,7 +67,7 @@ def check(name: str, ok: bool, detail: str) -> bool:
 def battery():
     """check name -> {detail: (value, reference, tolerance, status)}."""
     out = {}
-    for name, detail, value, reference, _, tol, status in claims.run_all({}, RngStream(0)):
+    for name, detail, value, reference, _, tol, status in claims.run_all(RngStream(0)):
         assert detail not in out.setdefault(name, {}), f"duplicate row {name} {detail}"
         out[name][detail] = (value, reference, tol, status)
     return out

@@ -1,4 +1,4 @@
-"""Probability containers, RNG streams, and JSON literals."""
+"""Probability containers and RNG streams."""
 
 import numpy as np
 import pytest
@@ -9,8 +9,6 @@ from ptshannon import (
     JointDistribution,
     RngStream,
     binary_symmetric_channel,
-    channel_from_json,
-    distribution_from_json,
     info_ratio,
     joint_from,
     make_distribution,
@@ -61,8 +59,6 @@ def test_distribution_rejects_nan():
     False)."""
     with pytest.raises(NegativeWeight):
         Distribution(np.array([np.nan, np.nan]))
-    with pytest.raises(NegativeWeight):
-        distribution_from_json('{"probs": [NaN, 1.0]}')
 
 
 def test_channel_rejects_nan():
@@ -143,13 +139,3 @@ def test_rng_stream_substreams_differ_and_reproduce():
     assert np.array_equal(a.generator().random(8), base.substream(0).generator().random(8))
     assert not np.array_equal(a.generator().random(8), b.generator().random(8))
 
-
-def test_json_literals():
-    d = distribution_from_json('{"probs": [0.25, 0.75]}')
-    assert np.allclose(d.probs, [0.25, 0.75])
-    ch = channel_from_json('{"rows": [[0.9, 0.1], [0.2, 0.8]]}')
-    assert ch.output_size == 2
-    with pytest.raises(InvalidDistribution):
-        distribution_from_json('{"probs": [0.25, 0.7]}')
-    with pytest.raises(InvalidDistribution):
-        channel_from_json('{"rows": [[0.9, 0.2], [0.2, 0.8]]}')

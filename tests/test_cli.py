@@ -48,6 +48,17 @@ def test_conditional_class_guard_checked_before_compute(tmp_path, capsys):
     assert "conditional_class_count" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, check", [("partition_max_n", "type_partition"),
+                                        ("chain_rule_max_n", "conditional_class_count")])
+def test_absurd_claims_size_fails_its_guard_at_once(tmp_path, capsys, key, check):
+    """n = 10^30 fails the enumeration guard without first building N^n."""
+    cfg = write_config(tmp_path / "c.json",
+                       {"kind": "claims", "parameters": {key: 10**30},
+                        "output_path": str(tmp_path / "o.csv"), "seed": 1})
+    assert main(["claims", "--config", cfg]) == 2
+    assert check in capsys.readouterr().err
+
+
 def test_unknown_parameter_rejected(tmp_path, capsys):
     """A misspelt key (delta_N for delta_n) is a config error, not a silent
     run at the default."""
@@ -204,3 +215,63 @@ def test_integrals_subcommand(tmp_path):
     text = out.read_text()
     assert "dirichlet_all_ones" in text
     assert "type_partition_count" not in text
+
+
+# A valid config of each kind, and a malformed value for one of its keys.
+VALID = {
+    "claims": {"partition_max_n": 4},
+    "capacity": {"channel": [[0.89, 0.11], [0.11, 0.89]]},
+    "rd-curve": {"source": [0.5, 0.5], "d": [[0, 1], [1, 0]], "D_grid": [0.1]},
+    "source-coding": {"source": [0.9, 0.1], "n_grid": [10], "rate_grid": [0.3],
+                      "trials": 10},
+    "channel-coding": {"channel": [[0.89, 0.11], [0.11, 0.89]], "n_grid": [10],
+                       "rate_grid": [0.3], "trials": 10},
+    "rate-distortion": {"source": [0.5, 0.5], "d": [[0, 1], [1, 0]], "D": 0.2,
+                        "n_grid": [10], "rate_grid": [0.3], "trials": 10},
+}
+MALFORMED = [
+    ("capacity", "tol", "abc"),
+    ("capacity", "tol", [1]),
+    ("capacity", "channel", [["a", "b"], [0.1, 0.9]]),
+    ("capacity", "channel", [[0.9, 0.1], [1.0]]),
+    ("rd-curve", "d", [[0, 1], [1]]),
+    ("rd-curve", "d", "x"),
+    ("channel-coding", "input", [0.5, "x"]),
+    ("claims", "partition_max_n", "big"),
+    ("claims", "delta_eps", None),
+    ("source-coding", "n_grid", [10.7]),
+    ("source-coding", "trials", True),
+    ("rate-distortion", "D", True),
+]
+
+
+def _command(kind: str) -> str:
+    return kind if kind in ("claims", "capacity", "rd-curve") else "sweep"
+
+
+@pytest.mark.parametrize("kind, key, value", MALFORMED,
+                         ids=[f"{kind}-{key}-{value!r}" for kind, key, value in MALFORMED])
+def test_malformed_parameter_exits_2_naming_its_key(tmp_path, capsys, kind, key, value):
+    """A malformed value is a config error (exit 2, no traceback, no output)
+    that names its key, never a check failure (exit 1) or a silent run."""
+    out = tmp_path / "o.csv"
+    cfg = write_config(tmp_path / "c.json",
+                       {"kind": kind, "parameters": {**VALID[kind], key: value},
+                        "output_path": str(out), "seed": 1})
+    assert main([_command(kind), "--config", cfg]) == 2
+    assert f"parameters.{key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_integral_float_blocklength_accepted(tmp_path):
+    """n_grid 10.0 runs at n = 10: every line but the config hash matches."""
+    texts = []
+    for n in (10, 10.0):
+        out = tmp_path / f"n{n}.csv"
+        cfg = write_config(tmp_path / "c.json",
+                           {"kind": "source-coding",
+                            "parameters": {**VALID["source-coding"], "n_grid": [n]},
+                            "output_path": str(out), "seed": 1})
+        assert main(["sweep", "--config", cfg]) == 0
+        texts.append(out.read_text().splitlines()[1:])
+    assert texts[0] == texts[1] and texts[0][1].startswith("10,")

@@ -26,8 +26,8 @@ from ptshannon import (
     relative_information,
     uniform_distribution,
 )
-from ptshannon.errors import InfeasibleDistortion, InvalidDistribution
-from ptshannon.info_measures import _xlogx, distortion_from_json, joint_entropy
+from ptshannon.errors import DimensionMismatch, InfeasibleDistortion, InvalidDistribution
+from ptshannon.info_measures import _xlogx, joint_entropy
 
 from oracles import binary_input_capacity
 
@@ -117,6 +117,22 @@ def test_conditional_mutual_information():
     p = np.zeros((2, 2, 2))
     p[0, 0, 0] = p[1, 1, 1] = 0.5
     assert conditional_mutual_information(p) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_conditional_mutual_information_rejects_nan():
+    """A NaN entry is no probability: it fails the check as a negative one
+    does, where p < 0 alone would pass it and return nan."""
+    p = np.full((2, 2, 2), 0.125)
+    p[0, 0, 0] = np.nan
+    with pytest.raises(DimensionMismatch):
+        conditional_mutual_information(p)
+
+
+def test_rate_distortion_rejects_empty_distortion_matrix():
+    """A matrix with no reproduction column is a shape error, not an empty
+    minimum further on."""
+    with pytest.raises(DimensionMismatch):
+        rate_distortion(Distribution(np.array([1.0])), np.zeros((1, 0)), 0.1)
 
 
 def test_relative_information():
@@ -372,6 +388,3 @@ def test_rate_distortion_gap_bounds_hamming_closed_form(weights, tenths):
     assert abs(pt.rate_nats - closed) <= pt.gap_bound + 1e-12
 
 
-def test_distortion_from_json():
-    d = distortion_from_json('{"d": [[0, 1], [1, 0]]}')
-    assert np.array_equal(d, hamming_distortion(2))

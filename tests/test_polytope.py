@@ -27,9 +27,9 @@ from ptshannon.errors import (
     SingularMatrix,
     SingularUpdate,
 )
-from ptshannon.polytope import simplex_mc_integral, simplex_patch_volume
+from ptshannon.polytope import simplex_patch_volume
 
-from oracles import smoothed_delta_sequence_sum
+from oracles import simplex_mc_integral, smoothed_delta_sequence_sum
 
 
 # --- Dirichlet ------------------------------------------------------------------

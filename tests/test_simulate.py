@@ -27,6 +27,7 @@ from ptshannon import (
     source_coding_exact_psuc,
     uniform_distribution,
 )
+from ptshannon import simulate
 from ptshannon.errors import CodebookTooLarge, DegenerateMarginal, InfeasibleDistortion
 from ptshannon.simulate import (
     LATTICE_GUARD,
@@ -199,11 +200,34 @@ def test_channel_threshold_paths_agree_with_nonuniform_output():
 
 
 def test_dmc_oracle_reduces_to_bsc_oracle():
-    for n, rate in ((10, 0.3), (18, 0.35)):
+    """(100, 0.15) is past the point where N_m P(tie) is tiny, where a plain
+    difference of powers in the binomial ML sum cancels to 0.54 of 0.9999."""
+    for n, rate in ((10, 0.3), (18, 0.35), (100, 0.15)):
         for decoder in ("threshold", "ml"):
             assert dmc_exact_success([[0.89, 0.11], [0.11, 0.89]], [0.5, 0.5], rate, n,
                                      decoder) == pytest.approx(
                 bsc_exact_success(n, rate, 0.11, decoder), rel=1e-12)
+
+
+def test_conditional_ml_past_tie_cutoff_matches_exact_oracle(monkeypatch):
+    """ML on the conditional path over BSC(0.11) at n = 1000, near capacity,
+    against the exact binomial sum.  Many of the decoder's questions there
+    have N_m q < e^-30 (q = P(tie) / (1 - P(beaten))), where
+    `_ml_win_probability` drops its tie factor; the test checks that this
+    branch and the other one are both taken."""
+    below = []
+
+    def spy(log_gt, log_eq, log_nm, log_rivals):
+        below.append(log_nm + log_eq - _log_pow_one_minus(log_gt, 0.0) < -30.0)
+        return _ml_win_probability(log_gt, log_eq, log_nm, log_rivals)
+
+    monkeypatch.setattr(simulate, "_ml_win_probability", spy)
+    n, rate, trials = 1000, 0.3259, 10_000
+    exact = bsc_exact_success(n, rate, 0.11, "ml")
+    rep = simulate_channel_coding(binary_symmetric_channel(0.11), uniform_distribution(2),
+                                  rate, n, trials, "ml", RngStream(23), method="conditional")
+    assert abs(rep.p_hat - exact) <= 3 * math.sqrt(exact * (1 - exact) / trials)
+    assert any(below) and not all(below)
 
 
 def test_channel_paths_match_exact_dmc_oracle():

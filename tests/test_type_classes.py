@@ -25,6 +25,7 @@ from ptshannon import (
     type_of,
     uniform_distribution,
 )
+from ptshannon import type_classes
 from ptshannon.errors import (
     DimensionMismatch,
     InstanceTooLarge,
@@ -32,7 +33,7 @@ from ptshannon.errors import (
     SymbolOutOfAlphabet,
 )
 from ptshannon.type_classes import (
-    compositions,
+    ENUMERATION_GUARD,
     conditional_class_size_int,
     log_factorial,
     log_multinomial,
@@ -40,6 +41,8 @@ from ptshannon.type_classes import (
     type_array,
     type_density_estimate,
 )
+
+from oracles import _compositions
 
 
 # --- type extraction -----------------------------------------------------------
@@ -150,14 +153,27 @@ def test_enumerate_types_is_lexicographic_and_reproducible():
     assert first == [t.counts for t in enumerate_types(3, 3)]
 
 
+def test_enumerate_types_guard_checked_before_any_work(monkeypatch):
+    """Over the guard, enumeration fails at its first step without building
+    the type array."""
+    assert count_types(4, 400) > ENUMERATION_GUARD
+
+    def unreachable(*args):
+        raise AssertionError("type_array built past the guard")
+
+    monkeypatch.setattr(type_classes, "type_array", unreachable)
+    with pytest.raises(InstanceTooLarge):
+        next(enumerate_types(4, 400))
+
+
 @given(parts=st.integers(1, 5), n=st.integers(0, 12))
 def test_type_array_matches_compositions(parts, n):
-    """The stars-and-bars array holds the recursive generator's vectors, in
-    its order."""
+    """The stars-and-bars array holds the recursive oracle's vectors, in its
+    order."""
     arr = type_array(parts, n)
     assert arr.dtype == np.int64
     assert arr.shape == (count_types(parts, n), parts)
-    assert [tuple(row) for row in arr.tolist()] == list(compositions(n, parts))
+    assert [tuple(row) for row in arr.tolist()] == list(_compositions(n, parts))
 
 
 @given(parts=st.integers(1, 4), n=st.integers(0, 9))
@@ -261,17 +277,18 @@ def test_conditional_class_size_matches_enumeration():
 
 def test_chain_rule_identities_small():
     rep = type_count_identity_check(2, 2, 3)
-    assert rep.class_counts_equal
-    assert rep.sequence_counts_equal
+    assert rep.lhs_class_count == rep.rhs_class_count
+    assert rep.lhs_sequence_count == rep.rhs_sequence_count
     assert rep.rhs_sequence_count == 64
     rep6 = type_count_identity_check(2, 2, 6)
-    assert rep6.class_counts_equal and rep6.sequence_counts_equal
+    assert rep6.lhs_class_count == rep6.rhs_class_count
+    assert rep6.lhs_sequence_count == rep6.rhs_sequence_count
 
 
 def test_chain_rule_reduces_for_trivial_x():
     rep = type_count_identity_check(1, 3, 5)
     assert rep.lhs_class_count == count_types(3, 5)
-    assert rep.class_counts_equal
+    assert rep.lhs_class_count == rep.rhs_class_count
 
 
 def test_chain_rule_guard():
