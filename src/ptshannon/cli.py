@@ -46,7 +46,7 @@ from .coding import (
     channel_coding_prediction,
     source_coding_asymptote,
 )
-from .errors import ConfigInvalid, IoFailure, PtShannonError
+from .errors import ConfigInvalid, IoFailure
 from .info_measures import CAPACITY_TOL, capacity, rate_distortion, rate_distortion_curve
 from .simulate import (
     simulate_channel_coding,
@@ -121,7 +121,6 @@ PARAMETERS = {
     "rate-distortion": _SWEEP | {"source": _of(Distribution), "d": _array,
                                  "D": _number(float, lambda x: x >= 0, "a number >= 0")},
 }
-PARAMETER_KEYS = {kind: set(keys) for kind, keys in PARAMETERS.items()}
 _REQUIRED = {"channel", "source", "d", "D", "D_grid", "n_grid", "rate_grid"}
 
 
@@ -310,7 +309,7 @@ def main(argv=None) -> int:
         if args.command == "rd-curve":
             return run_rd_curve(doc, args.bits)
         return run_sweep(doc, args.bits)
-    except PtShannonError as exc:
+    except (ValueError, OverflowError) as exc:  # PtShannonError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,7 +21,7 @@ import numpy as np
 from .alphabet import Channel, Distribution, JointDistribution, joint_from
 from .errors import CodebookTooLarge, InstanceTooLarge, UndefinedRatio
 from .info_measures import entropy, rate_distortion
-from .type_classes import count_types, log_multinomial, type_array
+from .type_classes import _masked_dot, count_types, log_multinomial, type_array
 
 EXACT_TYPE_GUARD = 2 * 10**6
 MAX_LOG_CODEBOOK = 700.0
@@ -103,10 +103,10 @@ def source_coding_exact_psuc(setup: SourceCodingSetup) -> float:
     counts = type_array(p.size, n)
     counts = counts[setup.encodable(counts)]
     log_binom = log_multinomial(counts)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # a type with a count off the source's support has probability 0
-        log_prob = np.where(counts > 0, counts * np.log(p), 0.0).sum(axis=1)
-    return float(np.exp(log_binom + log_prob).sum())
+    with np.errstate(divide="ignore"):
+        log_p = np.log(p)
+    # a type with a count off the source's support has probability 0
+    return float(np.exp(log_binom + _masked_dot(counts, log_p)).sum())
 
 
 def source_coding_asymptote(setup: SourceCodingSetup) -> int:

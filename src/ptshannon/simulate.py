@@ -41,9 +41,13 @@ The channel path scores a block's new joint types in one batched pass
 tail math runs once per distinct (lattice, question), not once per type.
 
 The conditional paths and the source simulator share one trial kernel
-(:func:`_type_trials`): it draws types directly by multinomial sampling,
-computes each distinct type's success probability once, and spends one
-uniform per trial.  Trials run in blocks of ``TRIAL_BLOCK``: block b draws
+(:func:`_type_trials`): it draws types directly by multinomial sampling
+and spends one uniform per trial.  It owns the run's one memo: each distinct
+type's success probability is computed once per run, when the type is
+first drawn, and every later trial of that type reads it.  A type is what
+the probability depends on: the block type for source coding, the joint
+(codeword, output) type for the channel, and the pooled count per group for
+rate-distortion.  Trials run in blocks of ``TRIAL_BLOCK``: block b draws
 from substream b, always a full block, so trial i's outcome depends only on
 (seed, i), not on the trial count or on how blocks are scheduled.
 """
@@ -63,7 +67,7 @@ from .coding import (
 )
 from .errors import CodebookTooLarge, DegenerateMarginal, DimensionMismatch
 from .info_measures import _validate_distortion_matrix
-from .type_classes import count_types, log_multinomial, type_array
+from .type_classes import _masked_dot, count_types, log_multinomial, type_array
 
 OPS_GUARD = 10**9
 LATTICE_GUARD = 4 * 10**6
@@ -114,50 +118,32 @@ def _sample_rows(cum_rows: np.ndarray, x: np.ndarray, gen: np.random.Generator) 
     return (u[:, None] > cum_rows[x]).sum(axis=1)
 
 
-def _masked_dot(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Row-wise sum of counts*values skipping zero counts, so absent -inf
-    values do not poison the result.  Both lattice construction and
-    transmitted-block scoring go through here, keeping floats bit-identical."""
-    with np.errstate(invalid="ignore"):
-        terms = np.where(counts > 0, counts * values[None, :], 0.0)
-    return terms.sum(axis=1)
-
-
-def _type_trials(trials: int, rng: RngStream, draw_types, p_success) -> TrialReport:
+def _type_trials(trials: int, rng: RngStream, draw_types, p_new) -> TrialReport:
     """The one conditional trial loop: block of types -> success probability
-    per distinct type -> one Bernoulli per trial.
+    per type -> one Bernoulli per trial.
 
     ``draw_types(gen, size)`` returns ``size`` block types, one integer array
-    per trial; ``p_success(types)`` maps the block's distinct types, one per
-    row, to their success probabilities.  Block b draws TRIAL_BLOCK types
-    and then TRIAL_BLOCK uniforms from substream b and keeps the first rows
-    it needs, so trial i's outcome depends only on (seed, i).
+    per trial.  The run's one memo maps each type drawn so far to its
+    success probability: each block's unseen types go to ``p_new`` once, in
+    first-seen order, as the rows of one int array, and every trial reads
+    its p from the memo.  Block b draws TRIAL_BLOCK types and then
+    TRIAL_BLOCK uniforms from substream b and keeps the first rows it needs,
+    so trial i's outcome depends only on (seed, i).
     """
+    memo: dict[tuple, float] = {}
     successes = 0
     for b in range(-(-trials // TRIAL_BLOCK)):
         gen = rng.substream(b).generator()
         types = draw_types(gen, TRIAL_BLOCK).reshape(TRIAL_BLOCK, -1)
         u = gen.random(TRIAL_BLOCK)
         take = min(TRIAL_BLOCK, trials - b * TRIAL_BLOCK)
-        distinct, inverse = np.unique(types[:take], axis=0, return_inverse=True)
-        p = p_success(distinct)
-        successes += int(np.count_nonzero(u[:take] < p[inverse.reshape(-1)]))
-    return _report(successes, trials, rng)
-
-
-def _per_type(p_new):
-    """The kernel's ``p_success`` from a function of the types not seen
-    before, given as a list of distinct tuples of ints; each type's
-    probability is computed once over the whole run."""
-    memo: dict[tuple, float] = {}
-
-    def p_success(types: np.ndarray) -> np.ndarray:
-        keys = list(map(tuple, types.tolist()))
+        keys = list(map(tuple, types[:take].tolist()))
         new = [key for key in dict.fromkeys(keys) if key not in memo]
         if new:
-            memo.update(zip(new, p_new(new)))
-        return np.array([memo[key] for key in keys])
-    return p_success
+            memo.update(zip(new, p_new(np.array(new))))
+        p = np.fromiter(map(memo.__getitem__, keys), float, count=take)
+        successes += int(np.count_nonzero(u[:take] < p))
+    return _report(successes, trials, rng)
 
 
 # --- source coding ------------------------------------------------------------
@@ -169,7 +155,7 @@ def simulate_source_coding(setup: SourceCodingSetup, trials: int, rng: RngStream
         raise ValueError("trials must be >= 1")
     return _type_trials(trials, rng,
                         lambda gen, size: gen.multinomial(setup.n, setup.source.probs, size=size),
-                        lambda types: setup.encodable(types).astype(float))
+                        setup.encodable)
 
 
 # --- score lattices -------------------------------------------------------------
@@ -183,9 +169,7 @@ def _composition_lattice(m: int, values: np.ndarray, log_mass: np.ndarray, *comp
     if count_types(k, m) > LATTICE_GUARD:
         raise CodebookTooLarge("per-group composition lattice exceeds the guard")
     counts = type_array(k, m)
-    with np.errstate(invalid="ignore"):
-        logw = np.where(counts > 0, counts * log_mass[None, :], 0.0)
-    log_pmf = log_multinomial(counts) + logw.sum(axis=1)
+    log_pmf = log_multinomial(counts) + _masked_dot(counts, log_mass)
     return (_masked_dot(counts, values), log_pmf, *(counts @ c for c in companions))
 
 
@@ -473,12 +457,13 @@ def _channel_conditional(channel, input_dist, law, rate, n, trials, decoder, rng
         # the sent word passes, and none of the N_m - 1 rivals does
         return math.exp(_log_pow_one_minus(log_gt, log_rivals))
 
-    def p_win(joint_types: list[tuple]) -> np.ndarray:
-        """Win probability of each new joint type, in one batched pass: the
-        types' scores, thresholds and pooled output counts are arrays; each
-        pooled count's lattice answers each distinct question once, and the
-        answers are scattered back to the types."""
-        joint = np.array(joint_types).reshape(-1, *rows.shape)
+    def p_win(joint_types: np.ndarray) -> np.ndarray:
+        """Win probability of each new joint type (a flattened row of
+        ``joint_types``), in one batched pass: the types' scores, thresholds
+        and pooled output counts are arrays; each pooled count's lattice
+        answers each distinct question once, and the answers are scattered
+        back to the types."""
+        joint = joint_types.reshape(-1, *rows.shape)
         y_counts = joint.sum(axis=1)
         t = law.score(joint)
         p = np.zeros(t.size)
@@ -498,7 +483,7 @@ def _channel_conditional(channel, input_dist, law, rate, n, trials, decoder, rng
             p[types] = answers[question_of.reshape(-1)]
         return p
 
-    return _type_trials(trials, rng, draw, _per_type(p_win))
+    return _type_trials(trials, rng, draw, p_win)
 
 
 def _ml_win_probability(log_gt: float, log_eq: float, log_nm: float,
@@ -631,8 +616,10 @@ def _rd_materialized(source, q_hat, g, d, budget, margin, n, trials, rng, n_m) -
 
 
 def _rd_conditional(source, law, budget, margin, n, trials, rng, log_m) -> TrialReport:
-    p_cover = _per_type(lambda pooled: [
-        1.0 - _rd_fail_probability(*law.lattice(key), budget, margin, log_m) for key in pooled])
-    return _type_trials(trials, rng,
-                        lambda gen, size: gen.multinomial(n, source.probs, size=size),
-                        lambda types: p_cover(law.key(types)))
+    """The cover probability depends on the block's type only through its
+    pooled count per group, so that is the type the kernel draws and
+    memoizes."""
+    return _type_trials(
+        trials, rng, lambda gen, size: law.key(gen.multinomial(n, source.probs, size=size)),
+        lambda pooled: [1.0 - _rd_fail_probability(*law.lattice(key), budget, margin, log_m)
+                        for key in pooled.tolist()])

@@ -175,6 +175,16 @@ def log_multinomial(counts):
     return float(out) if out.ndim == 0 else out
 
 
+def _masked_dot(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Row-wise sum of counts*values skipping zero counts, so absent -inf
+    values do not poison the result.  Lattice weights and scores, transmitted
+    block scores and exact lattice sums all go through here, keeping floats
+    bit-identical."""
+    with np.errstate(invalid="ignore"):
+        terms = np.where(counts > 0, counts * values[None, :], 0.0)
+    return terms.sum(axis=1)
+
+
 def class_size(t: SequenceType) -> ClassSize:
     """Exact log size next to the Stirling estimate.
 

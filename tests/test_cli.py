@@ -263,6 +263,27 @@ def test_malformed_parameter_exits_2_naming_its_key(tmp_path, capsys, kind, key,
     assert not out.exists()
 
 
+# Grid points that parse one key at a time but that a simulator rejects.
+BAD_POINTS = [
+    ("channel-coding", {"n_grid": [1]}, "at least 2 rows"),
+    ("rate-distortion", {"n_grid": [1]}, "at least 2 rows"),
+    ("source-coding", {"n_grid": [10**30]}, "too large"),
+]
+
+
+@pytest.mark.parametrize("kind, params, message", BAD_POINTS,
+                         ids=["channel-coding-n1", "rate-distortion-n1", "source-coding-n1e30"])
+def test_rejected_grid_point_exits_2(tmp_path, capsys, kind, params, message):
+    """A grid point the simulator rejects is a runtime error: exit 2 with
+    ``error: ...``, never a traceback (exit 1 is kept for a failed check)."""
+    cfg = write_config(tmp_path / "c.json",
+                       {"kind": kind, "parameters": {**VALID[kind], **params},
+                        "output_path": str(tmp_path / "o.csv"), "seed": 1})
+    assert main(["sweep", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_integral_float_blocklength_accepted(tmp_path):
     """n_grid 10.0 runs at n = 10: every line but the config hash matches."""
     texts = []

@@ -38,11 +38,10 @@ from ptshannon.simulate import (
     _literal_scores,
     _log_mass,
     _log_pow_one_minus,
-    _masked_dot,
     _ml_win_probability,
     _ScoreLaw,
 )
-from ptshannon.type_classes import count_types, type_array
+from ptshannon.type_classes import _masked_dot, count_types, type_array
 
 from oracles import binary_rd_success, bsc_exact_success, dmc_exact_success
 
@@ -367,8 +366,8 @@ PINNED_CHANNEL_RUNS = [
     ([[0.73, 0.17, 0.10], [0.13, 0.79, 0.08], [0.29, 0.23, 0.48]], [0.6, 0.3, 0.1],
      0.25, 24, 400, 106, (150, 257)),
     ([[0.93, 0.07], [0.19, 0.81]], [0.55, 0.45], 0.3, 400, 400, 107, (274, 320)),
-    # the runs below span three trial blocks, so the per-type memo and the
-    # lattice cache carry over from block to block
+    # the runs below span three trial blocks, so the kernel's per-run memo
+    # and the lattice cache carry over from block to block
     ([[0.89, 0.11], [0.11, 0.89]], [0.5, 0.5],
      BSC_CAPACITY - math.sqrt(BSC_DISPERSION / 1800), 1800, 2500, 109, (2067, 2176)),
     # above capacity at n = 30, where ML success is dominated by ties
@@ -411,6 +410,35 @@ def test_conditional_rd_ternary_count_pinned():
     rep = simulate_rate_distortion(src, rate_distortion(src, d, 0.15).optimal_test_channel, d,
                                    0.15, 0.55, 20, 500, RngStream(108), method="conditional")
     assert rep.successes == 264
+
+
+def test_each_type_computed_once_per_run(monkeypatch):
+    """The kernel's memo carries across trial blocks: over a run of three
+    blocks, no pooled count builds its lattice twice on a ternary
+    rate-distortion run (nothing pools), and no joint type is scored twice on
+    a 3x3 channel run, though types recur from block to block."""
+    trials = 2 * TRIAL_BLOCK + 7
+    seen = {"lattice": [], "score": []}
+    lattice, score = _ScoreLaw.lattice, _ScoreLaw.score
+
+    def lattice_spy(self, key):
+        seen["lattice"].append(tuple(key))
+        return lattice(self, key)
+
+    def score_spy(self, joint):
+        seen["score"] += map(tuple, joint.reshape(joint.shape[0], -1).tolist())
+        return score(self, joint)
+
+    monkeypatch.setattr(_ScoreLaw, "lattice", lattice_spy)
+    monkeypatch.setattr(_ScoreLaw, "score", score_spy)
+    src = make_distribution([0.5, 0.3, 0.2])
+    d = hamming_distortion(3)
+    simulate_rate_distortion(src, rate_distortion(src, d, 0.15).optimal_test_channel, d,
+                             0.15, 0.55, 12, trials, RngStream(108), method="conditional")
+    simulate_channel_coding(Channel(np.array(CHANNEL_3X3)), make_distribution(ASYM_INPUT),
+                            0.25, 6, trials, "ml", RngStream(102), method="conditional")
+    for built in seen.values():
+        assert 0 < len(built) == len(set(built)) < trials
 
 
 BSC_11 = [[0.89, 0.11], [0.11, 0.89]]
