@@ -73,6 +73,7 @@ _real = _number(float, lambda x: not math.isnan(x), "a number")
 _positive = _number(float, lambda x: x > 0, "a positive number")
 _count = _number(int, lambda x: x >= 1, "an integer >= 1")
 _natural = _number(int, lambda x: x >= 0, "an integer >= 0")
+_blocklength = _number(int, lambda x: 1 <= x < 2**63, "an integer in [1, 2**63)")
 
 
 def _array(value) -> np.ndarray:
@@ -107,7 +108,7 @@ def _of(cls):
 
 # Every parameter key of each kind, with its parser.  A key the config omits
 # takes its default where it is used, unless it is in _REQUIRED.
-_SWEEP = {"n_grid": _grid(_count), "rate_grid": _grid(_positive), "trials": _count}
+_SWEEP = {"n_grid": _grid(_blocklength), "rate_grid": _grid(_positive), "trials": _count}
 PARAMETERS = {
     "claims": {"partition_max_n": _natural, "chain_rule_max_n": _natural,
                "delta_n": _count, "delta_eps": _real},

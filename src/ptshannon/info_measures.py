@@ -162,10 +162,15 @@ def _meeting_slope(p: np.ndarray, excess: np.ndarray, q: np.ndarray, budget: flo
     """The slope s >= 0 at which the channel W ∝ q exp(-s excess) spends
     exactly ``budget``, with its tilt exp(-s excess).
 
-    The spend sum_x p E_W[excess] falls with s at rate sum_x p Var_W(excess).
-    Newton steps start from the given s; a step that leaves the bracket the
-    iterates have set bisects it, or doubles s while the bracket is open
-    above.  budget = 0 is the s = inf limit: only zero-excess cells remain.
+    This is the package's one exponential-tilt solver.  :func:`rate_distortion`
+    calls it with one row per source symbol, and
+    ``saddle.constrained_sum_estimate`` with one row (p = [1],
+    excess = c - min c), where the spend is the tilted law's excess mean
+    cost.  The spend sum_x p E_W[excess] falls with s at rate
+    sum_x p Var_W(excess).  Newton steps start from the given s; a step
+    that leaves the bracket the iterates have set bisects it, or doubles s
+    while the bracket is open above.  budget = 0 is the s = inf limit: only
+    zero-excess cells remain.
     """
     if budget == 0:
         return math.inf, (excess == 0).astype(float)

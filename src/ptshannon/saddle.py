@@ -12,13 +12,13 @@ tilting of the weights.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .alphabet import Distribution
 from .errors import NonPositiveWeight
+from .info_measures import _meeting_slope
 from .polytope import SimplexGaussian, simplex_gaussian_integral
 
 
@@ -56,8 +56,11 @@ def constrained_sum_estimate(q_source: Distribution, indicator_halfspace, n: int
     If the unconstrained stationary point T = q already satisfies the
     constraint, the sum is exponentially trivial and the estimate is 0.
     Otherwise the maximum of sum T ln(q/T) on the boundary sum T c = R is
-    found by exponential tilting T_beta ~ q * exp(-beta c) with beta >= 0
-    chosen by bisection, giving the large-deviations value beta*R + ln Z_beta.
+    reached by exponential tilting T_s ~ q * exp(-s (c - c_min)), with the
+    slope s >= 0 from the one-row case of ``info_measures._meeting_slope``,
+    giving the large-deviations value s (R - c_min) + ln sum q exp(-s (c - c_min)),
+    the Legendre form of rate_distortion's lower bound.  R = c_min is the
+    s = inf limit: the log mass of q on the symbols of least cost.
     """
     c, R = indicator_halfspace
     c = np.asarray(c, dtype=float)
@@ -72,31 +75,9 @@ def constrained_sum_estimate(q_source: Distribution, indicator_halfspace, n: int
     c_min = float(c.min())
     if R < c_min:
         return -math.inf
-    if R == c_min:
-        warnings.warn("constraint boundary tangent at a vertex; returning the vertex value")
-        at_min = c == c_min
-        return float(np.log(q[at_min].sum()))
-
-    def mean_cost(beta: float) -> float:
-        wts = q * np.exp(-beta * (c - c_min))
-        return float((wts @ c) / wts.sum())
-
-    lo, hi = 0.0, 1.0
-    while mean_cost(hi) > R:
-        hi *= 2.0
-        if hi > 1e12:
-            warnings.warn("tilt parameter diverged; constraint nearly tangent at a vertex")
-            at_min = c == c_min
-            return float(np.log(q[at_min].sum()))
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mean_cost(mid) > R:
-            lo = mid
-        else:
-            hi = mid
-    beta = 0.5 * (lo + hi)
-    log_z = float(np.log(np.sum(q * np.exp(-beta * (c - c_min))))) - beta * c_min
-    return beta * R + log_z
+    budget = R - c_min
+    s, tilt = _meeting_slope(np.ones(1), (c - c_min)[None, :], q, budget, 0.0)
+    return (s * budget if budget else 0.0) + math.log(tilt[0] @ q)
 
 
 def gaussian_correction(result: SaddleResult) -> float:

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cmp_to_key
 
 import numpy as np
 
@@ -86,7 +87,7 @@ class TrialReport:
 
 def _report(successes: int, trials: int, rng: RngStream) -> TrialReport:
     p = successes / trials
-    half = 1.96 * math.sqrt(max(p * (1 - p), 0.0) / trials)
+    half = 1.96 * math.sqrt(p * (1 - p) / trials)
     return TrialReport(int(successes), trials, p, half, rng.seed)
 
 
@@ -279,14 +280,22 @@ def _largest_lattice(law: _ScoreLaw, n: int) -> int:
     """Points in the largest lattice ``law`` can build for blocks of length
     n: the most, over compositions (m_j) of n into its groups, of
     prod_j count_types(k_j, m_j) for a group of k_j atoms.  Raising m_j by
-    one multiplies a factor by (m_j + k_j)/(m_j + 1), which falls with m_j,
+    one multiplies a factor by 1 + (k_j - 1)/(m_j + 1), which falls with m_j,
     so the n largest of these steps over all groups make the largest
-    product."""
-    sizes = [atoms[0].size for atoms in law.atoms]
-    m = np.arange(n)
-    steps = np.concatenate([(m + k) / (m + 1) for k in sizes])
-    taken = np.bincount(np.argsort(-steps, kind="stable")[:n] // n, minlength=len(sizes))
-    return math.prod(count_types(k, int(c)) for k, c in zip(sizes, taken))
+    product.  With K = sum_j (k_j - 1), the steps with
+    (k_j - 1)/(m_j + 1) >= K/n are floor(n (k_j - 1)/K) per group; the
+    fewer than one per group left go one at a time to the largest next
+    step.  A one-atom group is a factor of 1 and takes no step."""
+    sizes = [atoms[0].size for atoms in law.atoms if atoms[0].size > 1]
+    if not sizes:
+        return 1
+    total = sum(sizes) - len(sizes)
+    taken = [n * (k - 1) // total for k in sizes]
+    for _ in range(n - sum(taken)):
+        j = max(range(len(sizes)), key=cmp_to_key(
+            lambda a, b: (sizes[a] - 1) * (taken[b] + 1) - (sizes[b] - 1) * (taken[a] + 1)))
+        taken[j] += 1
+    return math.prod(count_types(k, m) for k, m in zip(sizes, taken))
 
 
 def _literal_scores(g: np.ndarray, words: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -604,14 +613,8 @@ def _rd_materialized(source, q_hat, g, d, budget, margin, n, trials, rng, n_m) -
         scores = _literal_scores(g, words, x)
         dists = _literal_scores(d.T, words, x)  # the sum of d[x_j, word_j]
         meets = dists <= budget
-        if not np.any(meets):
-            continue
-        s_w = scores[meets].max()
-        s_n = scores[~meets].max() if np.any(~meets) else -math.inf
-        if s_n == -math.inf:
-            successes += bool(s_w > -math.inf)
-        else:
-            successes += bool(s_w > s_n - margin)
+        successes += bool(scores[meets].max(initial=-np.inf)
+                          > scores[~meets].max(initial=-np.inf) - margin)
     return _report(successes, trials, rng)
 
 

@@ -240,6 +240,7 @@ MALFORMED = [
     ("claims", "partition_max_n", "big"),
     ("claims", "delta_eps", None),
     ("source-coding", "n_grid", [10.7]),
+    ("source-coding", "n_grid", [10**30]),
     ("source-coding", "trials", True),
     ("rate-distortion", "D", True),
 ]
@@ -267,12 +268,11 @@ def test_malformed_parameter_exits_2_naming_its_key(tmp_path, capsys, kind, key,
 BAD_POINTS = [
     ("channel-coding", {"n_grid": [1]}, "at least 2 rows"),
     ("rate-distortion", {"n_grid": [1]}, "at least 2 rows"),
-    ("source-coding", {"n_grid": [10**30]}, "too large"),
 ]
 
 
 @pytest.mark.parametrize("kind, params, message", BAD_POINTS,
-                         ids=["channel-coding-n1", "rate-distortion-n1", "source-coding-n1e30"])
+                         ids=["channel-coding-n1", "rate-distortion-n1"])
 def test_rejected_grid_point_exits_2(tmp_path, capsys, kind, params, message):
     """A grid point the simulator rejects is a runtime error: exit 2 with
     ``error: ...``, never a traceback (exit 1 is kept for a failed check)."""

@@ -1,7 +1,6 @@
 """Saddle-point evaluation of type-lattice sums."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -62,14 +61,33 @@ def test_constrained_estimate_infeasible():
     assert constrained_sum_estimate(q, (c, float(c.min()) - 0.01), 100) == -math.inf
 
 
-def test_constrained_estimate_vertex_warns():
+def test_constrained_estimate_vertex_value():
+    """R = min c is the s = inf limit of the tilt: the log mass of q on the
+    least-cost symbols, returned without a warning."""
     q = make_distribution([0.9, 0.1])
     c = -np.log(q.probs)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        val = constrained_sum_estimate(q, (c, float(c.min())), 100)
-    assert any("vertex" in str(w.message) for w in caught)
-    assert val == pytest.approx(math.log(0.9))
+    assert constrained_sum_estimate(q, (c, float(c.min())), 100) == math.log(0.9)
+
+
+def test_constrained_estimate_binary_exact_oracle():
+    """On two symbols the boundary T . c = R holds one type T*, so the
+    estimate is exactly -D(T* || q).  R runs from one ulp above min c, where
+    the tilt slope is largest, up to near q . c."""
+    rng = np.random.default_rng(16)
+    for _ in range(1000):
+        a = rng.uniform(0.01, 0.99)
+        q = make_distribution([a, 1.0 - a])
+        c = rng.uniform(0.0, 3.0, 2)
+        lo, hi = float(c.min()), float(q.probs @ c)
+        top = int(np.argmax(c))
+        for R in (np.nextafter(lo, hi), lo + (hi - lo) * 1e-12, lo + (hi - lo) * 1e-6,
+                  lo + (hi - lo) * rng.uniform(0.0, 0.999)):
+            t = np.empty(2)
+            t[top] = (R - lo) / (c[top] - lo)
+            t[1 - top] = 1.0 - t[top]
+            ref = -float(t @ np.log(t / q.probs))
+            val = constrained_sum_estimate(q, (c, float(R)), 10)
+            assert abs(val - ref) <= 1e-12 * abs(ref) + 1e-15, (a, c, R)
 
 
 def test_constrained_estimate_monotone_in_rate():

@@ -39,6 +39,7 @@ from ptshannon.simulate import (
     _log_mass,
     _log_pow_one_minus,
     _ml_win_probability,
+    _resolve_method,
     _ScoreLaw,
 )
 from ptshannon.type_classes import _masked_dot, count_types, type_array
@@ -628,6 +629,26 @@ def test_largest_lattice_is_the_largest_composition(rows, n):
     brute = max(math.prod(count_types(k, m) for k, m in zip(sizes, key))
                 for key in itertools.product(range(n + 1), repeat=len(sizes)) if sum(key) == n)
     assert _largest_lattice(law, n) == brute
+
+
+@pytest.mark.parametrize("rows, method", [
+    (ASYM_ROWS, "materialize"),
+    ([[0.89, 0.11], [0.11, 0.89]], "conditional"),
+], ids=["3x3", "bsc"])
+def test_auto_lattice_check_is_small_at_large_n(rows, method):
+    """At n = 10**6 a short literal run fits the operation guard, so ``auto``
+    sizes the largest lattice: over the guard for the 3x3 channel, 10**6 + 1
+    points for the BSC.  The check works on the groups alone, not on
+    arrays of length n, so it allocates under 1 MiB."""
+    law = _ScoreLaw(np.log(np.array(rows)), np.log(np.full(len(rows), 1 / len(rows))))
+    tracemalloc.start()
+    try:
+        chosen = _resolve_method("auto", 0.1, 10**6, 10, law)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chosen == method
+    assert peak < 2**20
 
 
 def test_auto_prefers_the_conditional_path():
