@@ -49,6 +49,7 @@ from .coding import (
 from .errors import ConfigInvalid, IoFailure
 from .info_measures import CAPACITY_TOL, capacity, rate_distortion, rate_distortion_curve
 from .simulate import (
+    OPS_GUARD,
     simulate_channel_coding,
     simulate_rate_distortion,
     simulate_source_coding,
@@ -71,9 +72,11 @@ def _number(kind, ok, what):
 
 _real = _number(float, lambda x: not math.isnan(x), "a number")
 _positive = _number(float, lambda x: x > 0, "a positive number")
-_count = _number(int, lambda x: x >= 1, "an integer >= 1")
 _natural = _number(int, lambda x: x >= 0, "an integer >= 0")
 _blocklength = _number(int, lambda x: 1 <= x < 2**63, "an integer in [1, 2**63)")
+# the smoothed delta is centred on the balanced binary type (n/2, n/2)
+_delta = {"delta_n": _number(int, lambda x: x >= 2 and x % 2 == 0, "an even integer >= 2"),
+          "delta_eps": _number(float, lambda x: 0 < x < 1, "a number in (0, 1)")}
 
 
 def _array(value) -> np.ndarray:
@@ -108,11 +111,12 @@ def _of(cls):
 
 # Every parameter key of each kind, with its parser.  A key the config omits
 # takes its default where it is used, unless it is in _REQUIRED.
-_SWEEP = {"n_grid": _grid(_blocklength), "rate_grid": _grid(_positive), "trials": _count}
+_SWEEP = {"n_grid": _grid(_blocklength), "rate_grid": _grid(_positive),
+          "trials": _number(int, lambda x: 1 <= x <= OPS_GUARD,
+                            f"an integer in [1, {OPS_GUARD}]")}
 PARAMETERS = {
-    "claims": {"partition_max_n": _natural, "chain_rule_max_n": _natural,
-               "delta_n": _count, "delta_eps": _real},
-    "integrals": {"delta_n": _count, "delta_eps": _real},
+    "claims": {"partition_max_n": _natural, "chain_rule_max_n": _natural, **_delta},
+    "integrals": _delta,
     "capacity": {"channel": _of(Channel), "tol": _positive},
     "rd-curve": {"source": _of(Distribution), "d": _array, "D_grid": _grid(_real)},
     "source-coding": _SWEEP | {"source": _of(Distribution),

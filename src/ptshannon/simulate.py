@@ -37,8 +37,10 @@ each answers each distinct question of the channel decoder once, by a
 log-sum-exp over just the points above (or equal to) a score, so nothing
 on the channel path sorts.  The rate-distortion failure sum sorts once.
 The channel path scores a block's new joint types in one batched pass
-(their scores, thresholds and pooled output counts are arrays), and the
-tail math runs once per distinct (lattice, question), not once per type.
+(their scores, thresholds and pooled output counts are arrays).  The
+lattice lookups run once per distinct (lattice, question), not once per
+type; the win law (:func:`_win_probability`) is one array call per block,
+and the rate-distortion failure sum one array expression per lattice.
 
 The conditional paths and the source simulator share one trial kernel
 (:func:`_type_trials`): it draws types directly by multinomial sampling
@@ -308,24 +310,19 @@ def _literal_scores(g: np.ndarray, words: np.ndarray, block: np.ndarray) -> np.n
     return g.take(words * g.shape[1] + block).sum(axis=1)
 
 
-def _log_pow_one_minus(log_eps: float, log_m: float) -> float:
-    """ln((1 - eps)^M) from ln(eps) and ln(M); exact for tiny eps even when
-    M is far beyond integer range.  ln(1 - eps) splits at eps = 1/2
-    (log1mexp, Maechler 2012) so eps within an ulp of 1 stays finite.  When
-    M > e^MAX_LOG_CODEBOOK with eps > e^-30, or M*eps > e^MAX_LOG_CODEBOOK,
-    the power is 0 to double precision and the result is -inf, where
-    exp(log_m) would overflow."""
-    if log_eps == -math.inf:
-        return 0.0
-    if log_eps >= 0.0:
-        return -math.inf
-    if log_eps > -30.0:
-        if log_m > MAX_LOG_CODEBOOK:
-            return -math.inf
-        if log_eps > -_LN2:
-            return math.exp(log_m) * math.log(-math.expm1(log_eps))
-        return math.exp(log_m) * math.log1p(-math.exp(log_eps))
-    return -math.exp(log_m + log_eps) if log_m + log_eps <= MAX_LOG_CODEBOOK else -math.inf
+def _log_pow_one_minus(log_eps, log_m) -> np.ndarray:
+    """ln((1 - eps)^M) from ln(eps) and ln(M), elementwise over arrays; exact
+    for tiny eps even when M is far beyond integer range.  ln(1 - eps) splits
+    at eps = 1/2 (log1mexp, Maechler 2012), so eps within an ulp of 1 stays
+    finite; below eps = e^-30 it is -eps to double precision.  A power that
+    is 0 to double precision overflows to -inf on its own, and eps >= 1
+    gives -inf."""
+    log_eps = np.minimum(log_eps, 0.0)
+    # the branch np.where drops may overflow, or meet ln 0 or inf * 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log1m = np.where(log_eps > -_LN2, np.log(-np.expm1(log_eps)),
+                         np.log1p(-np.exp(log_eps)))
+        return np.where(log_eps > -30.0, np.exp(log_m) * log1m, -np.exp(log_m + log_eps))
 
 
 # --- channel coding -------------------------------------------------------------
@@ -439,9 +436,9 @@ def _channel_conditional(channel, input_dist, law, rate, n, trials, decoder, rng
     threshold decoder adds it to its threshold instead.
 
     Each block's new joint types are scored in one batched pass and grouped
-    by pooled output count, then by the decoder's question; the tail math
-    runs once per distinct (lattice, question) and its answer is scattered
-    back to the types that asked it."""
+    by pooled output count, then by the decoder's question; each distinct
+    (lattice, question) is looked up once, its tails are scattered back to
+    the types that asked it, and one call of the win law answers them all."""
     rows = channel.rows
     p_in = input_dist.probs
     with np.errstate(divide="ignore"):
@@ -455,67 +452,59 @@ def _channel_conditional(channel, input_dist, law, rate, n, trials, decoder, rng
         # input type, then each input row's outputs: the joint (x, y) type
         return gen.multinomial(gen.multinomial(n, p_in, size=size), rows)
 
-    def win(values, log_pmf, t: float) -> float:
-        """Win probability given the rival lattice and the decoder's
-        question t: the threshold for ``threshold``, the sent word's score
-        for ``ml``."""
-        log_gt = _log_mass(log_pmf, values > t)
-        if decoder == "ml":
-            return _ml_win_probability(log_gt, _log_mass(log_pmf, values == t), log_m,
-                                       log_rivals)
-        # the sent word passes, and none of the N_m - 1 rivals does
-        return math.exp(_log_pow_one_minus(log_gt, log_rivals))
-
     def p_win(joint_types: np.ndarray) -> np.ndarray:
         """Win probability of each new joint type (a flattened row of
         ``joint_types``), in one batched pass: the types' scores, thresholds
         and pooled output counts are arrays; each pooled count's lattice
-        answers each distinct question once, and the answers are scattered
-        back to the types."""
+        answers each distinct question once, the threshold for
+        ``threshold`` and the sent word's score for ``ml``, and the tails
+        of every asked type go through one call of the win law."""
         joint = joint_types.reshape(-1, *rows.shape)
         y_counts = joint.sum(axis=1)
         t = law.score(joint)
-        p = np.zeros(t.size)
         asked = np.arange(t.size)
         if decoder == "threshold":
             thresholds = n * rate + _masked_dot(y_counts, log_p_out)
             asked = np.flatnonzero(t > thresholds)  # the others fail their own threshold
             t = thresholds
+        log_tails = np.empty((asked.size, 2))  # ln P(rival > t), ln P(rival == t)
         keys, key_of = np.unique(law.key(y_counts[asked]), axis=0, return_inverse=True)
-        key_of = key_of.reshape(-1)
         for k, pooled in enumerate(map(tuple, keys.tolist())):
             if pooled not in lattices:
                 lattices[pooled] = law.lattice(pooled)
-            types = asked[key_of == k]
-            questions, question_of = np.unique(t[types], return_inverse=True)
-            answers = np.array([win(*lattices[pooled], q) for q in questions.tolist()])
-            p[types] = answers[question_of.reshape(-1)]
+            values, log_pmf = lattices[pooled]
+            mine = np.flatnonzero(key_of.reshape(-1) == k)
+            questions, question_of = np.unique(t[asked[mine]], return_inverse=True)
+            tails = [(_log_mass(log_pmf, values > q),  # a threshold has no ties
+                      _log_mass(log_pmf, values == q) if decoder == "ml" else -math.inf)
+                     for q in questions.tolist()]
+            log_tails[mine] = np.array(tails)[question_of.reshape(-1)]
+        p = np.zeros(t.size)
+        p[asked] = _win_probability(*log_tails.T, log_m, log_rivals)
         return p
 
     return _type_trials(trials, rng, draw, p_win)
 
 
-def _ml_win_probability(log_gt: float, log_eq: float, log_nm: float,
-                        log_rivals: float) -> float:
+def _win_probability(log_gt, log_eq, log_nm: float, log_rivals: float) -> np.ndarray:
     """Chance that the transmitted word wins the argmax with uniform
-    tie-break against N_m - 1 rivals, from ln g = ``log_gt`` and
-    ln e = ``log_eq``, where g = P(a rival scores higher) and e = P(a rival
-    ties).  Summing over the number k of tying rivals,
+    tie-break against N_m - 1 rivals, elementwise from ln g = ``log_gt``
+    and ln e = ``log_eq``, where g = P(a rival scores higher) and
+    e = P(a rival ties).  Summing over the number k of tying rivals,
 
         sum_k C(N_m-1, k) e^k (1-g-e)^(N_m-1-k) / (k+1)
           = (1-g)^(N_m-1) (1 - (1-q)^N_m) / (N_m q),   q = e / (1-g).
 
-    The last factor is 1 - O(N_m q), so it is 1 to double precision once
-    N_m q < e^-30; above that both of its parts are computed from ln q
-    without cancellation."""
-    log_win = _log_pow_one_minus(log_gt, log_rivals)
-    if log_win == -math.inf:
-        return 0.0
-    log_q = log_eq - _log_pow_one_minus(log_gt, 0.0)
-    if log_nm + log_q < -30.0:
-        return math.exp(log_win)
-    covered = -math.expm1(_log_pow_one_minus(log_q, log_nm))
-    return math.exp(log_win + math.log(covered) - log_nm - log_q)
+    The last factor is 1 - O(N_m q), so it is exactly 1 once N_m q < e^-30,
+    and with no tie mass (e = 0, the threshold decoder's case); above that
+    both of its parts are computed from ln q without cancellation."""
+    with np.errstate(invalid="ignore"):  # g = 1 with e = 0: nan, which never ties
+        log_q = log_eq - _log_pow_one_minus(log_gt, 0.0)
+    tied = log_nm + log_q >= -30.0
+    log_tie = np.zeros(log_q.shape)
+    q = log_q[tied]
+    log_tie[tied] = np.log(-np.expm1(_log_pow_one_minus(q, log_nm))) - log_nm - q
+    return np.exp(_log_pow_one_minus(log_gt, log_rivals) + log_tie)
 
 
 # --- rate-distortion --------------------------------------------------------------
@@ -533,7 +522,7 @@ def _rd_fail_probability(values, log_pmf, dist_totals, budget: float,
     uses a strict inequality at v.  Complement masses are accumulated in log
     scale so powers with astronomically large Nm stay exact.  Every tail
     comes from one sort per side (meeting, non-meeting) and a bisection for
-    all distinct v at once; the sum runs over v in ascending order.
+    all distinct v at once, and the powers of all of them are one array.
     """
     meet = dist_totals <= budget
     if not np.any(~meet):
@@ -543,14 +532,11 @@ def _rd_fail_probability(values, log_pmf, dist_totals, budget: float,
     v = np.unique(not_values)
     log_meet_above = log_meet_tail[np.searchsorted(meet_values, v - margin, side="right")]
     eps1 = np.logaddexp(log_not_tail[np.searchsorted(not_values, v, side="right")],
-                        log_meet_above).tolist()
+                        log_meet_above)
     eps0 = np.logaddexp(log_not_tail[np.searchsorted(not_values, v, side="left")],
-                        log_meet_above).tolist()
-    p_fail = 0.0
-    for e1, e0 in zip(eps1, eps0):
-        p_fail += math.exp(_log_pow_one_minus(e1, log_nm)) \
-            - math.exp(_log_pow_one_minus(e0, log_nm))
-    return min(max(p_fail, 0.0), 1.0)
+                        log_meet_above)
+    power = np.exp(_log_pow_one_minus(np.stack([eps1, eps0]), log_nm))
+    return min(max(float(np.sum(power[0] - power[1])), 0.0), 1.0)
 
 
 def _sorted_tail(values: np.ndarray, log_pmf: np.ndarray) -> tuple:

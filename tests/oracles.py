@@ -1,6 +1,8 @@
 """Independent oracles shared by the simulator, polytope and acceptance
 tests: closed forms, integer counts and binomial sums, never the package's
-score lattices or type arrays, and a Monte Carlo integral over the simplex."""
+score lattices or type arrays, and a Monte Carlo integral over the simplex.
+The last section keeps the simulator's rival-power law as it was computed
+one scalar at a time, as the reference for the array versions."""
 
 import itertools
 import math
@@ -10,6 +12,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from ptshannon import RngStream, codebook_size
+from ptshannon.coding import MAX_LOG_CODEBOOK
+from ptshannon.simulate import _sorted_tail
 
 LN2 = math.log(2.0)
 
@@ -250,3 +254,62 @@ def binary_input_capacity(rows) -> float:
         else:
             b = e
     return max(mi(a), mi(b), mi(0.5 * (a + b)))
+
+
+# --- scalar references for the rival-power law ----------------------------------
+# The power (1 - eps)^M, the ML win probability and the rate-distortion
+# failure sum, one scalar at a time.  The failure sum takes its tails from
+# the package's `_sorted_tail`, so a gate against it isolates the powers and
+# the summation.
+
+def log_pow_one_minus(log_eps: float, log_m: float) -> float:
+    """ln((1 - eps)^M) from ln(eps) and ln(M), with log1mexp split at
+    eps = 1/2 and -M eps below eps = e^-30; -inf once the power is 0 to
+    double precision."""
+    if log_eps == -math.inf:
+        return 0.0
+    if log_eps >= 0.0:
+        return -math.inf
+    if log_eps > -30.0:
+        if log_m > MAX_LOG_CODEBOOK:
+            return -math.inf
+        if log_eps > -LN2:
+            return math.exp(log_m) * math.log(-math.expm1(log_eps))
+        return math.exp(log_m) * math.log1p(-math.exp(log_eps))
+    return -math.exp(log_m + log_eps) if log_m + log_eps <= MAX_LOG_CODEBOOK else -math.inf
+
+
+def ml_win_probability(log_gt: float, log_eq: float, log_nm: float,
+                       log_rivals: float) -> float:
+    """(1-g)^(N_m-1) (1 - (1-q)^N_m) / (N_m q), q = e / (1-g), from ln g and
+    ln e; the tie factor is 1 once N_m q < e^-30."""
+    log_win = log_pow_one_minus(log_gt, log_rivals)
+    if log_win == -math.inf:
+        return 0.0
+    log_q = log_eq - log_pow_one_minus(log_gt, 0.0)
+    if log_nm + log_q < -30.0:
+        return math.exp(log_win)
+    covered = -math.expm1(log_pow_one_minus(log_q, log_nm))
+    return math.exp(log_win + math.log(covered) - log_nm - log_q)
+
+
+def rd_fail_probability(values, log_pmf, dist_totals, budget: float, margin: float,
+                        log_nm: float) -> float:
+    """sum_v [G(v)^N_m - G(v-)^N_m] over the distinct non-meeting scores v,
+    in ascending order, two scalar powers per v."""
+    meet = dist_totals <= budget
+    if not np.any(~meet):
+        return 0.0
+    not_values, log_not_tail = _sorted_tail(values[~meet], log_pmf[~meet])
+    meet_values, log_meet_tail = _sorted_tail(values[meet], log_pmf[meet])
+    v = np.unique(not_values)
+    log_meet_above = log_meet_tail[np.searchsorted(meet_values, v - margin, side="right")]
+    eps1 = np.logaddexp(log_not_tail[np.searchsorted(not_values, v, side="right")],
+                        log_meet_above).tolist()
+    eps0 = np.logaddexp(log_not_tail[np.searchsorted(not_values, v, side="left")],
+                        log_meet_above).tolist()
+    p_fail = 0.0
+    for e1, e0 in zip(eps1, eps0):
+        p_fail += math.exp(log_pow_one_minus(e1, log_nm)) \
+            - math.exp(log_pow_one_minus(e0, log_nm))
+    return min(max(p_fail, 0.0), 1.0)

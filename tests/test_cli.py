@@ -220,6 +220,7 @@ def test_integrals_subcommand(tmp_path):
 # A valid config of each kind, and a malformed value for one of its keys.
 VALID = {
     "claims": {"partition_max_n": 4},
+    "integrals": {},
     "capacity": {"channel": [[0.89, 0.11], [0.11, 0.89]]},
     "rd-curve": {"source": [0.5, 0.5], "d": [[0, 1], [1, 0]], "D_grid": [0.1]},
     "source-coding": {"source": [0.9, 0.1], "n_grid": [10], "rate_grid": [0.3],
@@ -242,12 +243,16 @@ MALFORMED = [
     ("source-coding", "n_grid", [10.7]),
     ("source-coding", "n_grid", [10**30]),
     ("source-coding", "trials", True),
+    ("source-coding", "trials", 10**30),
+    ("claims", "delta_n", 201),
+    ("integrals", "delta_n", 3),
+    ("claims", "delta_eps", 2.0),
     ("rate-distortion", "D", True),
 ]
 
 
 def _command(kind: str) -> str:
-    return kind if kind in ("claims", "capacity", "rd-curve") else "sweep"
+    return kind if kind in ("claims", "integrals", "capacity", "rd-curve") else "sweep"
 
 
 @pytest.mark.parametrize("kind, key, value", MALFORMED,

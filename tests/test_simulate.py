@@ -38,12 +38,14 @@ from ptshannon.simulate import (
     _literal_scores,
     _log_mass,
     _log_pow_one_minus,
-    _ml_win_probability,
+    _rd_fail_probability,
     _resolve_method,
     _ScoreLaw,
+    _win_probability,
 )
 from ptshannon.type_classes import _masked_dot, count_types, type_array
 
+import oracles
 from oracles import binary_rd_success, bsc_exact_success, dmc_exact_success
 
 # Z channel: input 0 is received intact, so ln W holds -inf
@@ -213,15 +215,16 @@ def test_conditional_ml_past_tie_cutoff_matches_exact_oracle(monkeypatch):
     """ML on the conditional path over BSC(0.11) at n = 1000, near capacity,
     against the exact binomial sum.  Many of the decoder's questions there
     have N_m q < e^-30 (q = P(tie) / (1 - P(beaten))), where
-    `_ml_win_probability` drops its tie factor; the test checks that this
-    branch and the other one are both taken."""
+    `_win_probability` drops its tie factor; the test checks that this
+    branch and the other one are both taken, over the entries of its
+    array calls."""
     below = []
 
     def spy(log_gt, log_eq, log_nm, log_rivals):
-        below.append(log_nm + log_eq - _log_pow_one_minus(log_gt, 0.0) < -30.0)
-        return _ml_win_probability(log_gt, log_eq, log_nm, log_rivals)
+        below.extend((log_nm + log_eq - _log_pow_one_minus(log_gt, 0.0) < -30.0).tolist())
+        return _win_probability(log_gt, log_eq, log_nm, log_rivals)
 
-    monkeypatch.setattr(simulate, "_ml_win_probability", spy)
+    monkeypatch.setattr(simulate, "_win_probability", spy)
     n, rate, trials = 1000, 0.3259, 10_000
     exact = bsc_exact_success(n, rate, 0.11, "ml")
     rep = simulate_channel_coding(binary_symmetric_channel(0.11), uniform_distribution(2),
@@ -764,13 +767,87 @@ def test_rd_conditional_rival_mass_within_an_ulp_of_one():
 
 def test_log_pow_one_minus_edges():
     """ln((1 - eps)^M) stays finite for eps within an ulp of 1, and is -inf,
-    not an overflow, once the power is 0 to double precision."""
+    not an overflow, once the power is 0 to double precision.  The same
+    entries as one array give the same values, with ln eps = 2.2e-16 (a
+    total mass that rounded one step above 1) at -inf and eps = 0 at 0."""
     assert _log_pow_one_minus(-5e-17, 0.0) == pytest.approx(math.log(5e-17), rel=1e-12)
     assert _log_pow_one_minus(-0.1, 2.0) == pytest.approx(
         math.exp(2.0) * math.log1p(-math.exp(-0.1)), rel=1e-12)
     assert _log_pow_one_minus(-1.0, 800.0) == -math.inf
     assert _log_pow_one_minus(-40.0, 800.0) == -math.inf
     assert _log_pow_one_minus(-1000.0, 800.0) == -math.exp(-200.0)
+    log_eps = np.array([-5e-17, -0.1, -1.0, -40.0, -1000.0, np.finfo(float).eps, -math.inf])
+    log_m = np.array([0.0, 2.0, 800.0, 800.0, 800.0, 3.0, 3.0])
+    expected = [float(_log_pow_one_minus(e, m)) for e, m in zip(log_eps, log_m)]
+    assert expected[-2:] == [-math.inf, 0.0]
+    assert _log_pow_one_minus(log_eps, log_m).tolist() == expected
+
+
+# ln eps anywhere, with the branch points, eps = 0 and ln eps a rounding
+# step above 0 (eps = 1)
+LOG_EPS = st.floats(-1000.0, 0.0) | st.sampled_from(
+    [-math.inf, 0.0, float(np.finfo(float).eps), -30.0, -math.log(2.0)])
+
+
+@given(st.lists(st.tuples(LOG_EPS, st.floats(0.0, 800.0)), min_size=1, max_size=40))
+@example([(-5e-17, 0.0), (-29.0, 705.0), (-30.5, 750.0), (-1000.0, 800.0)])
+def test_log_pow_one_minus_matches_scalar_reference(pairs):
+    """The array power against the scalar reference it replaced, entry by
+    entry, where a cap on ln M made the reference -inf."""
+    log_eps, log_m = map(np.array, zip(*pairs))
+    want = [math.exp(oracles.log_pow_one_minus(e, m)) for e, m in pairs]
+    assert np.exp(_log_pow_one_minus(log_eps, log_m)).tolist() == pytest.approx(
+        want, rel=1e-11, abs=1e-15)
+
+
+@given(st.lists(st.tuples(LOG_EPS, st.floats(-80.0, 0.0) | st.just(-math.inf)),
+                min_size=1, max_size=40),
+       st.floats(math.log(2.0), 800.0))
+@example([(-1.0, -40.0), (0.0, -math.inf), (-50.0, 0.0), (-0.5, -31.0)], math.log(2.0))
+def test_win_probability_matches_scalar_reference(tails, log_nm):
+    """The array win law against the scalar ML reference it replaced, for
+    rivals beaten with chance g and tied with chance r (1 - g); and with no
+    tie mass it is exactly the threshold decoder's (1 - g)^(N_m - 1)."""
+    log_rivals = log_nm + math.log1p(-math.exp(-log_nm))
+    log_gt = np.array([g for g, _ in tails])
+    log_eq = np.array([r + oracles.log_pow_one_minus(g, 0.0) if g < 0 else -math.inf
+                       for g, r in tails])
+    want = [oracles.ml_win_probability(g, e, log_nm, log_rivals)
+            for g, e in zip(log_gt, log_eq)]
+    assert _win_probability(log_gt, log_eq, log_nm, log_rivals).tolist() == pytest.approx(
+        want, rel=1e-11, abs=1e-15)
+    no_ties = _win_probability(log_gt, np.full(log_gt.size, -math.inf), log_nm, log_rivals)
+    assert no_ties.tolist() == np.exp(_log_pow_one_minus(log_gt, log_rivals)).tolist()
+
+
+@given(st.lists(st.tuples(st.integers(-6, 6), st.floats(0.01, 1.0), st.integers(0, 4)),
+                min_size=1, max_size=40),
+       st.integers(0, 4), st.floats(0.0, 4.0), st.floats(math.log(2.0), 800.0))
+def test_rd_fail_probability_matches_scalar_reference(atoms, budget, margin, log_nm):
+    """The array failure sum against the scalar loop it replaced, on a
+    random lattice of (score, mass, distortion) points with repeated scores
+    on both sides of the budget."""
+    values, mass, dist = map(np.array, zip(*atoms))
+    values, log_pmf = 0.75 * values, np.log(mass / mass.sum())
+    want = oracles.rd_fail_probability(values, log_pmf, dist, budget, margin, log_nm)
+    assert _rd_fail_probability(values, log_pmf, dist, budget, margin,
+                                log_nm) == pytest.approx(want, rel=1e-12)
+
+
+def test_rd_fail_probability_matches_scalar_reference_on_ternary_lattices():
+    """Every pooled source type's lattice of the ternary rate-distortion
+    point at n = 12 (nothing pools there), against the scalar loop."""
+    src, d = make_distribution([0.5, 0.3, 0.2]), hamming_distortion(3)
+    tc = rate_distortion(src, d, 0.15).optimal_test_channel
+    q_hat = src.probs @ tc.rows
+    g = np.log(src.probs[:, None] * tc.rows).T - np.log(q_hat)[:, None]
+    law = _ScoreLaw(g, np.log(q_hat), d.T)
+    n, rate = 12, 0.55
+    args = (n * 0.15 * (1 + 1e-9), n * rate, math.log(codebook_size(rate, n)))
+    for key in map(tuple, law.key(type_array(3, n)).tolist()):
+        lattice = law.lattice(key)
+        assert _rd_fail_probability(*lattice, *args) == pytest.approx(
+            oracles.rd_fail_probability(*lattice, *args), rel=1e-12), key
 
 
 def _tie_tails(g: float, e: float) -> tuple:
@@ -791,8 +868,9 @@ def _ml_win_sum(n_m: int, g: float, e: float) -> float:
 def test_ml_win_probability_counts_rivals_not_codewords():
     """With ties negligible the sent word wins iff none of its N_m - 1
     rivals scores higher: (1 - g)^(N_m - 1) = 1/2 here, not (1 - g)^N_m."""
-    tails = _tie_tails(0.5, math.exp(-40.0))
-    assert _ml_win_probability(*tails, math.log(2), 0.0) == pytest.approx(0.5, rel=1e-12)
+    log_gt, log_eq = _tie_tails(0.5, math.exp(-40.0))
+    win = _win_probability(np.array([log_gt]), np.array([log_eq]), math.log(2), 0.0)
+    assert win[0] == pytest.approx(0.5, rel=1e-12)
 
 
 @pytest.mark.parametrize("n_m, g", [(2, 0.5), (1000, 1e-3)])
@@ -803,7 +881,9 @@ def test_ml_win_probability_continuous_at_tie_cutoff(n_m, g):
     vals = []
     for step in (-1e-9, 1e-9):
         e = (1 - g) * math.exp(-30.0 + step) / n_m
-        val = _ml_win_probability(*_tie_tails(g, e), math.log(n_m), math.log(n_m - 1))
+        log_gt, log_eq = _tie_tails(g, e)
+        val = _win_probability(np.array([log_gt]), np.array([log_eq]), math.log(n_m),
+                               math.log(n_m - 1))[0]
         assert val == pytest.approx(_ml_win_sum(n_m, g, e), rel=1e-12)
         vals.append(val)
     assert vals[0] == pytest.approx(vals[1], rel=1e-9)
