@@ -48,6 +48,7 @@ from .coding import (
 )
 from .errors import ConfigInvalid, IoFailure
 from .info_measures import CAPACITY_TOL, capacity, rate_distortion, rate_distortion_curve
+from .polytope import BOUNDARY_SIGMAS
 from .simulate import (
     OPS_GUARD,
     simulate_channel_coding,
@@ -74,9 +75,13 @@ _real = _number(float, lambda x: not math.isnan(x), "a number")
 _positive = _number(float, lambda x: x > 0, "a positive number")
 _natural = _number(int, lambda x: x >= 0, "an integer >= 0")
 _blocklength = _number(int, lambda x: 1 <= x < 2**63, "an integer in [1, 2**63)")
-# the smoothed delta is centred on the balanced binary type (n/2, n/2)
+# The smoothed delta is centred on the balanced binary type (n/2, n/2), whose
+# gap of 1/2 to the simplex boundary must hold BOUNDARY_SIGMAS of the peak's
+# width eps: polytope's boundary check at curvature 1/eps^2 passes exactly for
+# eps <= 0.5 / BOUNDARY_SIGMAS.
 _delta = {"delta_n": _number(int, lambda x: x >= 2 and x % 2 == 0, "an even integer >= 2"),
-          "delta_eps": _number(float, lambda x: 0 < x < 1, "a number in (0, 1)")}
+          "delta_eps": _number(float, lambda x: 0 < x <= 0.5 / BOUNDARY_SIGMAS,
+                               f"a number in (0, 1/{2 * BOUNDARY_SIGMAS:g}]")}
 
 
 def _array(value) -> np.ndarray:

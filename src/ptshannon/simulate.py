@@ -32,10 +32,17 @@ so the law is one composition lattice per group of block symbols, folded;
 the sent word's score goes through the same arithmetic, so ties are found
 by exact equality.  Symmetric channels and the binary rate-distortion
 protocol pool into a single O(n) lattice with no branch of their own.
-Lattices are unsorted folds, built once per run and queried per block:
-each answers each distinct question of the channel decoder once, by a
-log-sum-exp over just the points above (or equal to) a score, so nothing
-on the channel path sorts.  The rate-distortion failure sum sorts once.
+Lattices are unsorted folds queried per block.  Each group's composition
+lattice is built once per run, memoized by (group, count) on the law, and
+folded as often as lattices need it.  The channel decoder asks only tail
+questions (does a rival score above, or tie, the threshold or the sent
+word's score), so a channel lattice keeps just the points at or above the
+lowest question asked of it so far, pruned fold by fold with an upper
+bound that float rounding cannot break; its answers are bit for bit the
+full lattice's, and a block that asks lower refolds it.  A lattice answers
+a question by a log-sum-exp over just the points above (or equal to) a
+score, so nothing on the channel path sorts.  The rate-distortion failure
+sum reads every point; it folds in full and sorts once.
 The channel path scores a block's new joint types in one batched pass
 (their scores, thresholds and pooled output counts are arrays).  The
 lattice lookups run once per distinct (lattice, question), not once per
@@ -166,12 +173,8 @@ def simulate_source_coding(setup: SourceCodingSetup, trials: int, rng: RngStream
 def _composition_lattice(m: int, values: np.ndarray, log_mass: np.ndarray, *companions):
     """(score, log-probability, *companions) of the sum of m i.i.d. draws
     from a finite atom set, enumerated over occupancy vectors with
-    multinomial weights.  The size is checked against the guard before any
-    vector is built."""
-    k = values.size
-    if count_types(k, m) > LATTICE_GUARD:
-        raise CodebookTooLarge("per-group composition lattice exceeds the guard")
-    counts = type_array(k, m)
+    multinomial weights.  Its caller checks the size against the guard."""
+    counts = type_array(values.size, m)
     log_pmf = log_multinomial(counts) + _masked_dot(counts, log_mass)
     return (_masked_dot(counts, values), log_pmf, *(counts @ c for c in companions))
 
@@ -179,10 +182,6 @@ def _composition_lattice(m: int, values: np.ndarray, log_mass: np.ndarray, *comp
 def _fold(a: tuple, b: tuple) -> tuple:
     """Outer sum of two independent lattices, given as parallel arrays:
     every component adds."""
-    if a[0].size * b[0].size > LATTICE_GUARD:
-        raise CodebookTooLarge(
-            "conditional score lattice exceeds the guard; materialize instead"
-        )
     return tuple((x[:, None] + y[None, :]).ravel() for x, y in zip(a, b))
 
 
@@ -217,7 +216,10 @@ class _ScoreLaw:
 
     A lattice is the unsorted fold of the groups' composition lattices:
     parallel arrays (score, log-probability, companion if any), queried
-    with :func:`_log_mass`.
+    with :func:`_log_mass`.  A law is made once per run and memoizes each
+    group's composition lattice by (group, count), so lattices that share
+    a group's count share its part; a lattice may keep only the points at
+    or above a floor (see :meth:`lattice`).
     """
 
     def __init__(self, g: np.ndarray, log_p: np.ndarray, extra: np.ndarray | None = None):
@@ -247,21 +249,48 @@ class _ScoreLaw:
             cols = np.flatnonzero(self.group == j)
             onehot = np.eye(values.size, dtype=np.int64)[self.atom[:, cols].ravel()]
             self.cells.append((cols, onehot))
+        self.parts: dict[tuple[int, int], tuple] = {}  # (group, count) -> composition lattice
 
     def key(self, col_counts: np.ndarray) -> np.ndarray:
         """Pooled count per group of each block type (the last axis runs
         over block symbols)."""
         return col_counts @ self.member
 
-    def lattice(self, key: tuple[int, ...]) -> tuple:
+    def lattice(self, key: tuple[int, ...], floor: float = -math.inf) -> tuple:
         """(score, log-probability, companion if any) of one random
         codeword, unsorted: one composition lattice per group with a
-        positive count, folded."""
-        folded = None
-        for atoms, m in zip(self.atoms, key):
-            if m:
-                part = _composition_lattice(m, *atoms)
-                folded = part if folded is None else _fold(folded, part)
+        positive count, folded, keeping just the points that score at least
+        ``floor``.
+
+        The full lattice's size, the product of its parts' sizes, is checked
+        against the guard before any part is built.  On the first part and
+        after each fold, the rows whose upper bound is below the floor are
+        dropped and the rest kept in order; a row's bound is its score plus
+        the later parts' top scores, added in fold order.  Float addition is
+        monotone, so no point of a dropped row reaches the floor, and the
+        kept points are exactly the full lattice's points at or above it,
+        with the same values in the same order: any log mass above or at a
+        score q >= floor is bit for bit the full lattice's."""
+        counts = [(j, m) for j, m in enumerate(key) if m]
+        if math.prod(count_types(self.atoms[j][0].size, m) for j, m in counts) > LATTICE_GUARD:
+            raise CodebookTooLarge(
+                "conditional score lattice exceeds the guard; materialize instead"
+            )
+        for j, m in counts:
+            if (j, m) not in self.parts:
+                self.parts[j, m] = _composition_lattice(m, *self.atoms[j])
+        parts = [self.parts[c] for c in counts]
+        tops = [part[0].max() for part in parts]
+        folded = parts[0]
+        for i, part in enumerate(parts):
+            if i:
+                folded = _fold(folded, part)
+            if floor > -math.inf:
+                bound = folded[0]
+                for top in tops[i + 1:]:
+                    bound = bound + top
+                keep = bound >= floor
+                folded = tuple(x[keep] for x in folded)
         return folded
 
     def score(self, joint: np.ndarray) -> np.ndarray:
@@ -443,7 +472,8 @@ def _channel_conditional(channel, input_dist, law, rate, n, trials, decoder, rng
     p_in = input_dist.probs
     with np.errstate(divide="ignore"):
         log_p_out = np.log(p_in @ rows)
-    lattices: dict[tuple, tuple] = {}  # (score, log-probability) by pooled output count
+    # pooled output count -> (floor, its lattice's points at or above the floor)
+    lattices: dict[tuple, tuple] = {}
     # ln(N_m - 1) rivals, from the integer size wherever it exists
     log_rivals = (math.log(codebook_size(rate, n) - 1) if n * rate <= MAX_LOG_CODEBOOK
                   else log_m)
@@ -458,7 +488,10 @@ def _channel_conditional(channel, input_dist, law, rate, n, trials, decoder, rng
         and pooled output counts are arrays; each pooled count's lattice
         answers each distinct question once, the threshold for
         ``threshold`` and the sent word's score for ``ml``, and the tails
-        of every asked type go through one call of the win law."""
+        of every asked type go through one call of the win law.  A lattice
+        keeps only the points at or above the lowest question asked of it
+        so far, all that any of its answers reads; a block that asks lower
+        refolds it."""
         joint = joint_types.reshape(-1, *rows.shape)
         y_counts = joint.sum(axis=1)
         t = law.score(joint)
@@ -470,11 +503,14 @@ def _channel_conditional(channel, input_dist, law, rate, n, trials, decoder, rng
         log_tails = np.empty((asked.size, 2))  # ln P(rival > t), ln P(rival == t)
         keys, key_of = np.unique(law.key(y_counts[asked]), axis=0, return_inverse=True)
         for k, pooled in enumerate(map(tuple, keys.tolist())):
-            if pooled not in lattices:
-                lattices[pooled] = law.lattice(pooled)
-            values, log_pmf = lattices[pooled]
             mine = np.flatnonzero(key_of.reshape(-1) == k)
             questions, question_of = np.unique(t[asked[mine]], return_inverse=True)
+            floor, lattice = lattices.get(pooled, (math.inf, None))
+            if questions[0] < floor:  # refold down to this block's lowest question
+                floor = float(questions[0])
+                lattice = law.lattice(pooled, floor)
+                lattices[pooled] = floor, lattice
+            values, log_pmf = lattice
             tails = [(_log_mass(log_pmf, values > q),  # a threshold has no ties
                       _log_mass(log_pmf, values == q) if decoder == "ml" else -math.inf)
                      for q in questions.tolist()]

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from ptshannon.cli import main
+from ptshannon.polytope import BOUNDARY_SIGMAS
 
 
 def write_config(path, doc):
@@ -217,6 +218,19 @@ def test_integrals_subcommand(tmp_path):
     assert "type_partition_count" not in text
 
 
+def test_delta_eps_bound_is_the_boundary_check(tmp_path, capsys):
+    """``delta_eps`` parses exactly where polytope's boundary check passes:
+    at 1/6, three widths fill the reference type's gap of 1/2 and the
+    integrals run; one float above, the config exits 2 naming the key."""
+    edge = 0.5 / BOUNDARY_SIGMAS
+    for eps, code in ((edge, 0), (math.nextafter(edge, 1.0), 2)):
+        cfg = write_config(tmp_path / "c.json",
+                           {"kind": "integrals", "parameters": {"delta_eps": eps},
+                            "output_path": str(tmp_path / "o.csv"), "seed": 1})
+        assert main(["integrals", "--config", cfg]) == code
+    assert "parameters.delta_eps" in capsys.readouterr().err
+
+
 # A valid config of each kind, and a malformed value for one of its keys.
 VALID = {
     "claims": {"partition_max_n": 4},
@@ -247,6 +261,8 @@ MALFORMED = [
     ("claims", "delta_n", 201),
     ("integrals", "delta_n", 3),
     ("claims", "delta_eps", 2.0),
+    ("claims", "delta_eps", 0.2),
+    ("integrals", "delta_eps", 0.3),
     ("rate-distortion", "D", True),
 ]
 

@@ -355,6 +355,65 @@ def test_log_mass_of_no_mass_is_minus_inf():
     assert _log_mass(log_pmf, np.ones(3, dtype=bool)) == 0.0
 
 
+@st.composite
+def score_laws(draw, name: str):
+    """A score law: Z or BEC (ln W holds -inf); a random ``channel`` of 2-3
+    inputs and outputs with zero entries allowed, under a random input law;
+    or a random score ``table`` with positive, tied and -inf entries and a
+    companion, as rate-distortion's laws have."""
+    fixed = {"z": (Z_ROWS, [0.5, 0.5]), "bec": (BEC_ROWS, [0.5, 0.5])}
+    if name in fixed:
+        rows, p_in = (np.array(x) for x in fixed[name])
+    else:
+        k, l = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+        p_in = np.array(draw(st.lists(st.integers(1, 4), min_size=k, max_size=k)), dtype=float)
+        p_in /= p_in.sum()
+    if name == "table":
+        entry = st.sampled_from([-math.inf, -1.5, -0.25, 0.0, 0.5, 2.0])
+        g = np.array(draw(st.lists(st.lists(entry, min_size=l, max_size=l),
+                                   min_size=k, max_size=k)))
+        extra = np.array(draw(st.lists(st.lists(st.integers(0, 2), min_size=l, max_size=l),
+                                       min_size=k, max_size=k)), dtype=float)
+        return _ScoreLaw(g, np.log(p_in), extra)
+    if name == "channel":
+        row = st.lists(st.integers(0, 5), min_size=l, max_size=l).map(lambda r: r if any(r)
+                                                                      else [1] * l)
+        rows = np.array(draw(st.lists(row, min_size=k, max_size=k)), dtype=float)
+        rows /= rows.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore"):
+        return _ScoreLaw(np.log(rows), np.log(p_in))
+
+
+@pytest.mark.parametrize("name", ["channel", "table", "z", "bec"])
+@given(st.data())
+def test_pruned_lattice_is_the_full_lattice_above_its_floor(name, data):
+    """A lattice folded with a floor is the full lattice masked by
+    score >= floor, on every component and in the same order, and answers
+    every tail question at or above the floor bit for bit as the full
+    lattice does.  The floors are -inf, up to 13 lattice points from the
+    lowest to the top, the values halfway between them, and one above the
+    top; pooled counts are random."""
+    law = data.draw(score_laws(name))
+    groups = len(law.atoms)
+    key = data.draw(st.lists(st.integers(0, 5), min_size=groups, max_size=groups))
+    key[data.draw(st.integers(0, groups - 1))] += 1
+    full = law.lattice(key)
+    values = full[0]
+    points = np.unique(values)
+    points = np.unique(np.append(points[::-(-points.size // 12)], points[-1]))
+    floors = [-math.inf, *points, *(points[:-1] + points[1:]) / 2, points[-1] + 1.0]
+    for floor in floors:
+        pruned = law.lattice(key, floor)
+        keep = values >= floor
+        assert len(pruned) == len(full)
+        for got, want in zip(pruned, full):
+            assert np.array_equal(got, want[keep])
+        for q in (q for q in floors if q >= floor):
+            for where in (np.greater, np.equal):
+                assert (_log_mass(pruned[1], where(pruned[0], q))
+                        == _log_mass(full[1], where(values, q)))
+
+
 # BSC(0.11) capacity and dispersion, for a rate one standard deviation below
 # capacity at n = 1800
 BSC_CAPACITY = math.log(2) + 0.11 * math.log(0.11) + (1 - 0.11) * math.log(1 - 0.11)
@@ -378,13 +437,22 @@ PINNED_CHANNEL_RUNS = [
     ([[0.89, 0.11], [0.11, 0.89]], [0.5, 0.5], 0.4, 30, 2500, 110, (787, 1301)),
     # every output pools into one group whose atoms repeat ln 0.1
     (TERNARY_SYMMETRIC_ROWS, [1 / 3, 1 / 3, 1 / 3], 0.4, 30, 2500, 111, (1499, 1968)),
+    # multi-group lattices pruned to the lowest score asked of them, over
+    # several trial blocks; ml refolds pooled counts that a later block asks
+    # below their cached floor
+    ([[0.73, 0.17, 0.10], [0.13, 0.79, 0.08], [0.29, 0.23, 0.48]], [0.6, 0.3, 0.1],
+     0.2, 12, 5000, 9, (2461, 3814)),
+    ([[0.73, 0.17, 0.10], [0.13, 0.79, 0.08], [0.29, 0.23, 0.48]], [0.6, 0.3, 0.1],
+     0.27, 20, 5000, 9, (1642, 2916)),
+    ([[0.93, 0.07], [0.19, 0.81]], [0.55, 0.45], 0.3, 400, 3000, 4, (2067, 2335)),
 ]
 
 
 @pytest.mark.parametrize("rows, p_in, rate, n, trials, seed, want", PINNED_CHANNEL_RUNS,
                          ids=["bsc", "3x3", "binary-asymmetric", "3x3-n20", "3x3-n24",
                               "binary-asymmetric-n400", "bsc-n1800-blocks", "bsc-n30-ties",
-                              "ternary-symmetric-n30"])
+                              "ternary-symmetric-n30", "3x3-n12-blocks", "3x3-n20-blocks",
+                              "binary-asymmetric-n400-blocks"])
 def test_conditional_channel_counts_pinned(rows, p_in, rate, n, trials, seed, want):
     """Success counts for fixed seeds, exactly: a change to the score
     lattice that moves any draw or decision shows here."""
@@ -417,32 +485,54 @@ def test_conditional_rd_ternary_count_pinned():
 
 
 def test_each_type_computed_once_per_run(monkeypatch):
-    """The kernel's memo carries across trial blocks: over a run of three
-    blocks, no pooled count builds its lattice twice on a ternary
-    rate-distortion run (nothing pools), and no joint type is scored twice on
-    a 3x3 channel run, though types recur from block to block."""
+    """The per-run memos carry across trial blocks, over runs of three
+    blocks: each (group, count) composition lattice is built once per run;
+    on a ternary rate-distortion run (nothing pools) no pooled count folds
+    its lattice twice; on a 3x3 channel run a pooled count is refolded only
+    at a strictly lower floor than it was folded at, and no joint type is
+    scored twice, though types recur from block to block."""
     trials = 2 * TRIAL_BLOCK + 7
-    seen = {"lattice": [], "score": []}
-    lattice, score = _ScoreLaw.lattice, _ScoreLaw.score
+    seen = {"part": [], "lattice": [], "score": []}
+    composition, lattice, score = simulate._composition_lattice, _ScoreLaw.lattice, _ScoreLaw.score
 
-    def lattice_spy(self, key):
-        seen["lattice"].append(tuple(key))
-        return lattice(self, key)
+    def composition_spy(m, *atoms):
+        # distinct groups have distinct atom laws, so the atoms name the group
+        seen["part"].append((m, *(a.tobytes() for a in atoms)))
+        return composition(m, *atoms)
+
+    def lattice_spy(self, key, floor=-math.inf):
+        seen["lattice"].append((tuple(key), floor))
+        return lattice(self, key, floor)
 
     def score_spy(self, joint):
         seen["score"] += map(tuple, joint.reshape(joint.shape[0], -1).tolist())
         return score(self, joint)
 
+    def run(simulator, *args, **kwargs) -> dict:
+        for built in seen.values():
+            built.clear()
+        simulator(*args, **kwargs)
+        assert 0 < len(seen["part"]) == len(set(seen["part"]))
+        return {name: list(built) for name, built in seen.items()}
+
+    monkeypatch.setattr(simulate, "_composition_lattice", composition_spy)
     monkeypatch.setattr(_ScoreLaw, "lattice", lattice_spy)
     monkeypatch.setattr(_ScoreLaw, "score", score_spy)
     src = make_distribution([0.5, 0.3, 0.2])
     d = hamming_distortion(3)
-    simulate_rate_distortion(src, rate_distortion(src, d, 0.15).optimal_test_channel, d,
-                             0.15, 0.55, 12, trials, RngStream(108), method="conditional")
-    simulate_channel_coding(Channel(np.array(CHANNEL_3X3)), make_distribution(ASYM_INPUT),
-                            0.25, 6, trials, "ml", RngStream(102), method="conditional")
-    for built in seen.values():
-        assert 0 < len(built) == len(set(built)) < trials
+    rd = run(simulate_rate_distortion, src, rate_distortion(src, d, 0.15).optimal_test_channel,
+             d, 0.15, 0.55, 12, trials, RngStream(108), method="conditional")
+    keys = [key for key, floor in rd["lattice"] if floor == -math.inf]
+    assert 0 < len(keys) == len(set(keys)) == len(rd["lattice"]) < trials
+    channel = run(simulate_channel_coding, Channel(np.array(CHANNEL_3X3)),
+                  make_distribution(ASYM_INPUT), 0.25, 6, trials, "ml", RngStream(102),
+                  method="conditional")
+    floors = {}
+    for key, floor in channel["lattice"]:
+        floors.setdefault(key, []).append(floor)
+    assert 0 < len(floors) < len(channel["lattice"])  # some pooled count is refolded
+    assert all(a > b for asked in floors.values() for a, b in itertools.pairwise(asked))
+    assert 0 < len(channel["score"]) == len(set(channel["score"])) < trials
 
 
 BSC_11 = [[0.89, 0.11], [0.11, 0.89]]
