@@ -19,6 +19,7 @@ from .errors import (
     AllZero,
     DimensionMismatch,
     InvalidDistribution,
+    InvalidParameter,
     NegativeWeight,
     ZeroMarginal,
 )
@@ -84,10 +85,6 @@ class JointDistribution:
         self.marginal_x()
         self.marginal_y()
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.probs.shape
-
     def marginal_x(self) -> Distribution:
         return Distribution(self.probs.sum(axis=1))
 
@@ -145,9 +142,9 @@ class RngStream:
 
     def __post_init__(self):
         if not (0 <= int(self.seed) < 2**64):
-            raise ValueError("seed must be a 64-bit unsigned integer")
+            raise InvalidParameter("seed must be a 64-bit unsigned integer")
         if int(self.stream_index) < 0:
-            raise ValueError("stream_index must be non-negative")
+            raise InvalidParameter("stream_index must be non-negative")
 
     def generator(self) -> np.random.Generator:
         key = np.array([self.seed, self.stream_index], dtype=np.uint64)
@@ -155,7 +152,7 @@ class RngStream:
 
     def substream(self, index: int) -> "RngStream":
         if index < 0:
-            raise ValueError("substream index must be non-negative")
+            raise InvalidParameter("substream index must be non-negative")
         mixed = _splitmix64((int(self.stream_index) * 0x9E3779B97F4A7C15 + index + 1) & 0xFFFFFFFFFFFFFFFF)
         return RngStream(self.seed, mixed)
 

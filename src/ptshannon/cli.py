@@ -48,7 +48,7 @@ from .coding import (
 )
 from .errors import ConfigInvalid, IoFailure
 from .info_measures import CAPACITY_TOL, capacity, rate_distortion, rate_distortion_curve
-from .polytope import BOUNDARY_SIGMAS
+from .polytope import BOUNDARY_SIGMAS, finite_curvature
 from .simulate import (
     OPS_GUARD,
     simulate_channel_coding,
@@ -78,10 +78,12 @@ _blocklength = _number(int, lambda x: 1 <= x < 2**63, "an integer in [1, 2**63)"
 # The smoothed delta is centred on the balanced binary type (n/2, n/2), whose
 # gap of 1/2 to the simplex boundary must hold BOUNDARY_SIGMAS of the peak's
 # width eps: polytope's boundary check at curvature 1/eps^2 passes exactly for
-# eps <= 0.5 / BOUNDARY_SIGMAS.
+# eps <= 0.5 / BOUNDARY_SIGMAS.  Below, 1/eps^2 must be a finite float, as
+# SmoothedDelta requires.
 _delta = {"delta_n": _number(int, lambda x: x >= 2 and x % 2 == 0, "an even integer >= 2"),
-          "delta_eps": _number(float, lambda x: 0 < x <= 0.5 / BOUNDARY_SIGMAS,
-                               f"a number in (0, 1/{2 * BOUNDARY_SIGMAS:g}]")}
+          "delta_eps": _number(float,
+                               lambda x: 0 < x <= 0.5 / BOUNDARY_SIGMAS and finite_curvature(x),
+                               f"a number in (0, 1/{2 * BOUNDARY_SIGMAS:g}] with 1/eps^2 finite")}
 
 
 def _array(value) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alphabet import Channel, Distribution, JointDistribution, joint_from
-from .errors import CodebookTooLarge, InstanceTooLarge, UndefinedRatio
+from .errors import CodebookTooLarge, InstanceTooLarge, InvalidParameter, UndefinedRatio
 from .info_measures import entropy, rate_distortion
 from .type_classes import _masked_dot, count_types, log_multinomial, type_array
 
@@ -34,7 +34,7 @@ def codebook_size(rate: float, n: int) -> int:
     Beyond n*rate = 700 no codebook can be materialized and the size is not
     built: `log_codebook_size` carries it there."""
     if not rate > 0 or n < 1:
-        raise ValueError("rate must be positive and n >= 1")
+        raise InvalidParameter("rate must be positive and n >= 1")
     if n * rate > MAX_LOG_CODEBOOK:
         raise CodebookTooLarge(
             f"codebook of e^{n * rate:.1f} rows; use log_codebook_size"
@@ -66,11 +66,11 @@ class SourceCodingSetup:
 
     def __post_init__(self):
         if not self.rate > 0:
-            raise ValueError("rate must be positive")
+            raise InvalidParameter("rate must be positive")
         if self.n < 1:
-            raise ValueError("n must be >= 1")
+            raise InvalidParameter("n must be >= 1")
         if self.mode not in (SOURCE_DEPENDENT, UNIVERSAL):
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise InvalidParameter(f"unknown mode {self.mode!r}")
 
     def encodable(self, counts: np.ndarray) -> np.ndarray:
         """Whether the set encoder accepts a block of each type, one type per
@@ -152,7 +152,7 @@ def channel_coding_prediction(channel: Channel, input_dist: Distribution,
     step when b = 0.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InvalidParameter("n must be >= 1")
     joint = joint_from(channel, input_dist)
     a, b = log_info_ratio_moments(joint)
     step = 1 if rate < a else 0

@@ -12,6 +12,10 @@ class PtShannonError(ValueError):
     """Base class for all toolkit errors."""
 
 
+class InvalidParameter(PtShannonError):
+    """A scalar argument lies outside its valid range or set of options."""
+
+
 # --- probability objects ----------------------------------------------------
 class NegativeWeight(PtShannonError):
     """A weight or probability entry is negative."""

@@ -19,6 +19,7 @@ from .errors import (
     DimensionMismatch,
     InfeasibleDistortion,
     InvalidDistribution,
+    InvalidParameter,
     NonConvergence,
 )
 
@@ -118,7 +119,7 @@ def capacity(channel: Channel, tol: float = CAPACITY_TOL) -> CapacityResult:
     every r_x > 0 the output law q is positive there.
     """
     if not tol > 0:
-        raise ValueError("tol must be positive")
+        raise InvalidParameter("tol must be positive")
     rows = channel.rows[:, channel.rows.any(axis=0)]
     h_rows = _xlogx(rows).sum(axis=1)
     r = np.full(channel.input_size, 1.0 / channel.input_size)
@@ -210,7 +211,7 @@ def rate_distortion(source: Distribution, d, D: float,
     Symbols the source never emits keep their least-distortion reproduction.
     """
     if not tol > 0:
-        raise ValueError("tol must be positive")
+        raise InvalidParameter("tol must be positive")
     d = _validate_distortion_matrix(source, d)
     p = source.probs
     n_hat = d.shape[1]

@@ -19,6 +19,7 @@ from .alphabet import Distribution
 from .errors import (
     DimensionMismatch,
     InstanceTooLarge,
+    InvalidParameter,
     LambdaTooSmall,
     NonPositiveExponent,
     PeakNearBoundary,
@@ -135,11 +136,13 @@ def simplex_gaussian_integral(g: SimplexGaussian) -> float:
 
 
 def conditional_simplex_gaussian_integral(A, nx: int, ny: int,
-                                          center_rows: np.ndarray | None = None) -> float:
+                                          center_rows: np.ndarray) -> float:
     """Gaussian integral over a stack of nx simplices (conditional rows).
 
     A is (nx*ny) x (nx*ny), indexed by flat (x, y) pairs with index x*ny + y,
-    symmetric positive-definite.  Returns
+    symmetric positive-definite; ``center_rows`` (nx x ny) holds the peak's
+    conditional rows, each of which must stay clear of its simplex's
+    boundary.  Returns
     sqrt(pi^(nx*ny - nx) / (det A * det M)) where
     M[x1, x2] = sum_{y1, y2} A^-1[(x1, y1), (x2, y2)].
     """
@@ -152,13 +155,10 @@ def conditional_simplex_gaussian_integral(A, nx: int, ny: int,
     eigs = np.linalg.eigvalsh(A)
     if eigs.min() <= 0:
         raise SingularMatrix("A must be positive-definite")
-    if center_rows is not None:
-        rows = np.asarray(center_rows, dtype=float)
-        if rows.shape != (nx, ny):
-            raise DimensionMismatch("center_rows must be nx x ny")
-        _check_peak(rows.min(axis=1), float(eigs.min()))
-    elif eigs.min() < LAMBDA_MIN:
-        raise LambdaTooSmall("eigenvalues below the asymptotic guard")
+    rows = np.asarray(center_rows, dtype=float)
+    if rows.shape != (nx, ny):
+        raise DimensionMismatch("center_rows must be nx x ny")
+    _check_peak(rows.min(axis=1), float(eigs.min()))
     inv = np.linalg.inv(A)
     blocks = inv.reshape(nx, ny, nx, ny)
     M = blocks.sum(axis=(1, 3))
@@ -178,6 +178,13 @@ def simplex_patch_volume(a: float, n: int) -> float:
     return a ** (n - 1) * math.pi ** ((n - 1) / 2) / math.sqrt(n)
 
 
+def finite_curvature(eps: float) -> bool:
+    """Whether the smoothed delta's curvature 1/eps^2 is a finite float:
+    eps^2 must neither underflow to 0 nor be so small that its reciprocal
+    overflows (eps below about 7.5e-155)."""
+    return eps ** 2 > 0 and 1.0 / eps ** 2 < math.inf
+
+
 @dataclass(frozen=True)
 class SmoothedDelta:
     """Gaussian surrogate exp(-|T - T_ref|^2 / eps^2) for matching types."""
@@ -186,8 +193,9 @@ class SmoothedDelta:
     reference_class: SequenceType
 
     def __post_init__(self):
-        if not 0 < self.epsilon < 1:
-            raise DimensionMismatch("epsilon must lie in (0, 1)")
+        if not (0 < self.epsilon < 1 and finite_curvature(self.epsilon)):
+            raise InvalidParameter(
+                f"epsilon {self.epsilon!r} must lie in (0, 1) with a finite curvature 1/eps^2")
 
 
 @dataclass(frozen=True)

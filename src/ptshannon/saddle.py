@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alphabet import Distribution
-from .errors import NonPositiveWeight
+from .errors import InvalidParameter, NonPositiveWeight
 from .info_measures import _meeting_slope
 from .polytope import SimplexGaussian, simplex_gaussian_integral
 
@@ -43,7 +43,7 @@ def saddle_of_weights(w, n: int) -> SaddleResult:
     if w.ndim != 1 or w.size == 0 or np.any(w <= 0):
         raise NonPositiveWeight("weights must be strictly positive")
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InvalidParameter("n must be >= 1")
     total = float(w.sum())
     tilde = w / total
     second = -n * np.diag(1.0 / tilde)

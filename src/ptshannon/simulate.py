@@ -18,11 +18,13 @@ distribution.  ``method="auto"`` takes the conditional path for fresh
 codebooks unless its largest score lattice is over ``LATTICE_GUARD`` while
 the literal run fits ``OPS_GUARD``; a fixed codebook is always literal.
 
-The literal paths draw every symbol as ``Generator.choice`` would, from the
-same uniforms compared with the same normalized cumulative sums
-(:func:`_draw`), and score a whole codebook with one flat ``take`` and a
-plain row sum (:func:`_literal_scores`): a score table holds no +inf or
-NaN, so no term needs masking.
+The literal paths draw every symbol (codewords, source block and channel
+outputs) with :func:`_draw`, as ``Generator.choice`` would, from the same
+uniforms compared with the same normalized cumulative sums, so no draw
+lands outside its alphabet or on a zero-mass symbol.  They score a whole
+codebook with one flat ``take`` and a plain row sum
+(:func:`_literal_scores`): a score table holds no +inf or NaN, so no term
+needs masking.
 
 Both conditional paths use one score law, :class:`_ScoreLaw`: a rival
 codeword's score (and, for rate-distortion, its distortion) is a sum of
@@ -75,7 +77,7 @@ from .coding import (
     codebook_size,
     log_codebook_size,
 )
-from .errors import CodebookTooLarge, DegenerateMarginal, DimensionMismatch
+from .errors import CodebookTooLarge, DegenerateMarginal, DimensionMismatch, InvalidParameter
 from .info_measures import _validate_distortion_matrix
 from .type_classes import _masked_dot, count_types, log_multinomial, type_array
 
@@ -102,10 +104,11 @@ def _report(successes: int, trials: int, rng: RngStream) -> TrialReport:
 
 def _cdf(p: np.ndarray) -> np.ndarray:
     """The thresholds ``Generator.choice`` compares a uniform with: the
-    cumulative sum of p divided by its last entry, which is dropped."""
-    cdf = np.cumsum(p)
-    cdf /= cdf[-1]
-    return cdf[:-1]
+    cumulative sum of p along its last axis divided by its last entry, which
+    is dropped."""
+    cdf = np.cumsum(p, axis=-1)
+    cdf /= cdf[..., -1:]
+    return cdf[..., :-1]
 
 
 def _draw(gen: np.random.Generator, cdf: np.ndarray, shape) -> np.ndarray:
@@ -113,19 +116,13 @@ def _draw(gen: np.random.Generator, cdf: np.ndarray, shape) -> np.ndarray:
     same draws as ``Generator.choice`` with that law: each symbol counts the
     thresholds at or below its uniform, which is what choice's
     ``searchsorted(side="right")`` returns, and the stream advances by the
-    same ``gen.random(shape)``."""
+    same ``gen.random(shape)``.  Each threshold may also be an array, one
+    per symbol drawn."""
     u = gen.random(shape)
     words = np.zeros(u.shape, dtype=np.int64)
     for c in cdf:
         words += u >= c
     return words
-
-
-def _sample_rows(cum_rows: np.ndarray, x: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    """One draw from row x_j for each position j, given the rows' cumulative
-    sums."""
-    u = gen.random(x.size)
-    return (u[:, None] > cum_rows[x]).sum(axis=1)
 
 
 def _type_trials(trials: int, rng: RngStream, draw_types, p_new) -> TrialReport:
@@ -162,7 +159,7 @@ def simulate_source_coding(setup: SourceCodingSetup, trials: int, rng: RngStream
     """Draw block types from the source; success iff the type lies in the
     fixed-rate acceptance set."""
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise InvalidParameter("trials must be >= 1")
     return _type_trials(trials, rng,
                         lambda gen, size: gen.multinomial(setup.n, setup.source.probs, size=size),
                         setup.encodable)
@@ -357,8 +354,7 @@ def _log_pow_one_minus(log_eps, log_m) -> np.ndarray:
 # --- channel coding -------------------------------------------------------------
 
 def simulate_channel_coding(channel: Channel, input_dist: Distribution, rate: float,
-                            n: int, trials: int, decoder: str = "threshold",
-                            rng: RngStream | None = None, *,
+                            n: int, trials: int, decoder: str, rng: RngStream, *,
                             fresh_codebook: bool = True,
                             method: str = "auto") -> TrialReport:
     """Random-coding Monte Carlo through a memoryless channel.
@@ -375,17 +371,15 @@ def simulate_channel_coding(channel: Channel, input_dist: Distribution, rate: fl
     literal run, N_m*n*trials operations, fits the operation guard; fixed
     codebooks are always materialized.
     """
-    if rng is None:
-        raise ValueError("an RngStream is required")
     if decoder not in ("threshold", "ml"):
-        raise ValueError("decoder must be 'threshold' or 'ml'")
+        raise InvalidParameter("decoder must be 'threshold' or 'ml'")
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise InvalidParameter("trials must be >= 1")
     if channel.input_size != input_dist.alphabet_size:
         raise DimensionMismatch("input distribution does not match the channel")
     log_m = log_codebook_size(rate, n)
     if log_m < _LN2:
-        raise ValueError("codebook needs at least 2 rows; raise rate or n")
+        raise InvalidParameter("codebook needs at least 2 rows; raise rate or n")
 
     law = None  # the conditional path's score law; fixed codebooks have none
     if fresh_codebook:
@@ -418,7 +412,7 @@ def _resolve_method(method: str, log_m: float, n: int, trials: int,
             f" (guard {OPS_GUARD:.0e})"
         )
     if method not in ("materialize", "conditional"):
-        raise ValueError("method must be 'auto', 'materialize', or 'conditional'")
+        raise InvalidParameter("method must be 'auto', 'materialize', or 'conditional'")
     return method
 
 
@@ -429,7 +423,7 @@ def _channel_materialized(channel, input_dist, rate, n, trials, decoder, rng,
     with np.errstate(divide="ignore"):
         log_rows = np.log(rows)
         log_p_out = np.log(p_in @ rows)
-    cum_rows = np.cumsum(rows, axis=1)
+    cdf_rows = _cdf(rows)
     cdf_in = _cdf(p_in)
     fixed_words = None
     if not fresh_codebook:
@@ -439,11 +433,9 @@ def _channel_materialized(channel, input_dist, rate, n, trials, decoder, rng,
         gen = rng.substream(i).generator()
         words = fixed_words if fixed_words is not None else _draw(gen, cdf_in, (n_m, n))
         m = int(gen.integers(n_m))
-        y = _sample_rows(cum_rows, words[m], gen)
+        y = _draw(gen, cdf_rows[words[m]].T, n)
         scores = _literal_scores(log_rows, words, y)
         s_true = scores[m]
-        if not np.isfinite(s_true):
-            continue
         scores[m] = -np.inf  # the rivals' best is the maximum of the rest
         top = scores.max()
         if decoder == "threshold":
@@ -561,8 +553,6 @@ def _rd_fail_probability(values, log_pmf, dist_totals, budget: float,
     all distinct v at once, and the powers of all of them are one array.
     """
     meet = dist_totals <= budget
-    if not np.any(~meet):
-        return 0.0  # every codeword meets the budget; the top one passes
     not_values, log_not_tail = _sorted_tail(values[~meet], log_pmf[~meet])
     meet_values, log_meet_tail = _sorted_tail(values[meet], log_pmf[meet])
     v = np.unique(not_values)
@@ -586,8 +576,7 @@ def _sorted_tail(values: np.ndarray, log_pmf: np.ndarray) -> tuple:
 
 
 def simulate_rate_distortion(source: Distribution, test_channel: Channel, d, D: float,
-                             rate: float, n: int, trials: int,
-                             rng: RngStream | None = None, *,
+                             rate: float, n: int, trials: int, rng: RngStream, *,
                              method: str = "auto") -> TrialReport:
     """Covering Monte Carlo for distortion coding.
 
@@ -596,13 +585,11 @@ def simulate_rate_distortion(source: Distribution, test_channel: Channel, d, D: 
     some codeword passes the pairwise score margins at the given rate and its
     average distortion against the block is at most D.
     """
-    if rng is None:
-        raise ValueError("an RngStream is required")
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise InvalidParameter("trials must be >= 1")
     d = _validate_distortion_matrix(source, d)
     if not D >= 0:
-        raise ValueError("D must be non-negative")
+        raise InvalidParameter("D must be non-negative")
     if test_channel.input_size != source.alphabet_size:
         raise DimensionMismatch("test channel does not match the source")
     q_hat = source.probs @ test_channel.rows
@@ -614,7 +601,7 @@ def simulate_rate_distortion(source: Distribution, test_channel: Channel, d, D: 
         g = np.log(source.probs[:, None] * test_channel.rows).T - np.log(q_hat)[:, None]
     log_m = log_codebook_size(rate, n)
     if log_m < _LN2:
-        raise ValueError("codebook needs at least 2 rows; raise rate or n")
+        raise InvalidParameter("codebook needs at least 2 rows; raise rate or n")
     budget = n * D + 1e-9 * max(1.0, n * D)
     margin = n * rate
 

@@ -84,22 +84,11 @@ class JointSequenceType:
             raise DimensionMismatch("joint counts must sum to n")
         object.__setattr__(self, "counts", rows)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.counts), len(self.counts[0])
-
     def matrix(self) -> np.ndarray:
         return np.asarray(self.counts, dtype=np.int64)
 
     def marginal_x(self) -> SequenceType:
         return SequenceType(tuple(int(s) for s in self.matrix().sum(axis=1)), self.n)
-
-    def marginal_y(self) -> SequenceType:
-        return SequenceType(tuple(int(s) for s in self.matrix().sum(axis=0)), self.n)
-
-    def flat(self) -> SequenceType:
-        """The joint type viewed as a type over the product alphabet."""
-        return SequenceType(tuple(c for row in self.counts for c in row), self.n)
 
 
 @dataclass(frozen=True)

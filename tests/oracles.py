@@ -4,6 +4,7 @@ score lattices or type arrays, and a Monte Carlo integral over the simplex.
 The last section keeps the simulator's rival-power law as it was computed
 one scalar at a time, as the reference for the array versions."""
 
+import bisect
 import itertools
 import math
 from fractions import Fraction
@@ -13,7 +14,6 @@ from scipy.special import gammaln
 
 from ptshannon import RngStream, codebook_size
 from ptshannon.coding import MAX_LOG_CODEBOOK
-from ptshannon.simulate import _sorted_tail
 
 LN2 = math.log(2.0)
 
@@ -258,9 +258,8 @@ def binary_input_capacity(rows) -> float:
 
 # --- scalar references for the rival-power law ----------------------------------
 # The power (1 - eps)^M, the ML win probability and the rate-distortion
-# failure sum, one scalar at a time.  The failure sum takes its tails from
-# the package's `_sorted_tail`, so a gate against it isolates the powers and
-# the summation.
+# failure sum, one scalar at a time.  The failure sum sorts the lattice and
+# sums its tails on its own, in plain Python.
 
 def log_pow_one_minus(log_eps: float, log_m: float) -> float:
     """ln((1 - eps)^M) from ln(eps) and ln(M), with log1mexp split at
@@ -293,23 +292,38 @@ def ml_win_probability(log_gt: float, log_eq: float, log_nm: float,
     return math.exp(log_win + math.log(covered) - log_nm - log_q)
 
 
+def _log_add(a: float, b: float) -> float:
+    """ln(e^a + e^b) for scalars, -inf included."""
+    top = max(a, b)
+    return top if top == -math.inf else top + math.log1p(math.exp(min(a, b) - top))
+
+
+def _tail_table(points) -> tuple[list, list]:
+    """Scores of (score, ln mass) points in ascending order, and the ln mass
+    at or above each position with -inf appended: position
+    ``bisect_left(scores, t)`` holds ln P(score >= t), ``bisect_right`` ln
+    P(score > t)."""
+    points = sorted(points)
+    tail = [-math.inf]
+    for _, log_mass in reversed(points):
+        tail.append(_log_add(tail[-1], log_mass))
+    return [score for score, _ in points], tail[::-1]
+
+
 def rd_fail_probability(values, log_pmf, dist_totals, budget: float, margin: float,
                         log_nm: float) -> float:
     """sum_v [G(v)^N_m - G(v-)^N_m] over the distinct non-meeting scores v,
-    in ascending order, two scalar powers per v."""
-    meet = dist_totals <= budget
-    if not np.any(~meet):
-        return 0.0
-    not_values, log_not_tail = _sorted_tail(values[~meet], log_pmf[~meet])
-    meet_values, log_meet_tail = _sorted_tail(values[meet], log_pmf[meet])
-    v = np.unique(not_values)
-    log_meet_above = log_meet_tail[np.searchsorted(meet_values, v - margin, side="right")]
-    eps1 = np.logaddexp(log_not_tail[np.searchsorted(not_values, v, side="right")],
-                        log_meet_above).tolist()
-    eps0 = np.logaddexp(log_not_tail[np.searchsorted(not_values, v, side="left")],
-                        log_meet_above).tolist()
+    in ascending order, two scalar powers per v, each (1 - eps)^N_m of a
+    complement: 1 - G(v-) is the mass of non-meeting points scoring >= v or
+    meeting points scoring > v - margin, and 1 - G(v) the same with > v."""
+    points = list(zip(values.tolist(), log_pmf.tolist(), (dist_totals <= budget).tolist()))
+    not_scores, not_tail = _tail_table([(s, lp) for s, lp, meets in points if not meets])
+    meet_scores, meet_tail = _tail_table([(s, lp) for s, lp, meets in points if meets])
     p_fail = 0.0
-    for e1, e0 in zip(eps1, eps0):
+    for v in sorted(set(not_scores)):
+        meet_above = meet_tail[bisect.bisect_right(meet_scores, v - margin)]
+        e1 = _log_add(not_tail[bisect.bisect_right(not_scores, v)], meet_above)
+        e0 = _log_add(not_tail[bisect.bisect_left(not_scores, v)], meet_above)
         p_fail += math.exp(log_pow_one_minus(e1, log_nm)) \
             - math.exp(log_pow_one_minus(e0, log_nm))
     return min(max(p_fail, 0.0), 1.0)

@@ -263,6 +263,8 @@ MALFORMED = [
     ("claims", "delta_eps", 2.0),
     ("claims", "delta_eps", 0.2),
     ("integrals", "delta_eps", 0.3),
+    ("integrals", "delta_eps", 1e-200),
+    ("integrals", "delta_eps", 1e-160),
     ("rate-distortion", "D", True),
 ]
 

@@ -21,6 +21,7 @@ from ptshannon import (
 )
 from ptshannon.errors import (
     InstanceTooLarge,
+    InvalidParameter,
     LambdaTooSmall,
     NonPositiveExponent,
     PeakNearBoundary,
@@ -191,7 +192,7 @@ def test_conditional_gaussian_vs_quadrature():
 
 def test_conditional_gaussian_rejects_indefinite():
     with pytest.raises(SingularMatrix):
-        conditional_simplex_gaussian_integral(-np.eye(4), 2, 2)
+        conditional_simplex_gaussian_integral(-np.eye(4), 2, 2, center_rows=np.full((2, 2), 0.5))
 
 
 # --- smoothed deltas -----------------------------------------------------------------
@@ -206,6 +207,15 @@ def test_smoothed_delta_guard_near_corner():
     with pytest.raises(PeakNearBoundary):
         smoothed_delta_normalization(
             SmoothedDelta(0.2, SequenceType((195, 5), 200)), uniform_distribution(2))
+
+
+@pytest.mark.parametrize("eps", [0.0, 1.0, 1e-200, 1e-160])
+def test_smoothed_delta_rejects_eps_without_finite_curvature(eps):
+    """eps outside (0, 1), or so small that eps^2 underflows to 0 (1e-200)
+    or to a subnormal whose reciprocal overflows (1e-160): a typed error,
+    not a ZeroDivisionError or a math domain error from the closed form."""
+    with pytest.raises(InvalidParameter, match="curvature"):
+        SmoothedDelta(eps, SequenceType((100, 100), 200))
 
 
 def test_smoothed_delta_type_guard_checked_before_enumeration():

@@ -28,7 +28,12 @@ from ptshannon import (
     uniform_distribution,
 )
 from ptshannon import simulate
-from ptshannon.errors import CodebookTooLarge, DegenerateMarginal, InfeasibleDistortion
+from ptshannon.errors import (
+    CodebookTooLarge,
+    DegenerateMarginal,
+    InfeasibleDistortion,
+    PtShannonError,
+)
 from ptshannon.simulate import (
     LATTICE_GUARD,
     TRIAL_BLOCK,
@@ -1033,3 +1038,61 @@ def test_rd_degenerate_marginal_rejected():
     with pytest.raises(DegenerateMarginal):
         simulate_rate_distortion(src, tc, hamming_distortion(2), 0.1, 0.4, 20, 10,
                                  RngStream(1))
+
+
+_U2, _BSC = uniform_distribution(2), binary_symmetric_channel(0.1)
+REJECTED_RUNS = {
+    "channel-decoder": lambda: simulate_channel_coding(_BSC, _U2, 0.4, 20, 10, "x",
+                                                       RngStream(1)),
+    "channel-trials": lambda: simulate_channel_coding(_BSC, _U2, 0.4, 20, 0, "ml",
+                                                      RngStream(1)),
+    "channel-input": lambda: simulate_channel_coding(_BSC, uniform_distribution(3), 0.4, 20,
+                                                     10, "ml", RngStream(1)),
+    "channel-method": lambda: simulate_channel_coding(_BSC, _U2, 0.4, 20, 10, "ml",
+                                                      RngStream(1), method="x"),
+    "rd-trials": lambda: simulate_rate_distortion(_U2, _BSC, hamming_distortion(2), 0.1, 0.4,
+                                                  20, 0, RngStream(1)),
+    "rd-test-channel": lambda: simulate_rate_distortion(
+        _U2, Channel(np.full((3, 2), 0.5)), hamming_distortion(2), 0.1, 0.4, 20, 10,
+        RngStream(1)),
+    "rd-method": lambda: simulate_rate_distortion(_U2, _BSC, hamming_distortion(2), 0.1, 0.4,
+                                                  20, 10, RngStream(1), method="x"),
+    "source-trials": lambda: simulate_source_coding(SourceCodingSetup(_U2, 0.5, 10), 0,
+                                                    RngStream(1)),
+}
+
+
+@pytest.mark.parametrize("run", REJECTED_RUNS.values(), ids=REJECTED_RUNS.keys())
+def test_simulator_rejection_is_typed(run):
+    """Every argument a simulator rejects raises a PtShannonError."""
+    with pytest.raises(PtShannonError):
+        run()
+
+
+class _TopUniforms:
+    """Generator stub: every uniform is 1 - 2.5e-13, and the sent index is 0."""
+
+    def random(self, shape=None):
+        return 1 - 2.5e-13 if shape is None else np.full(shape, 1 - 2.5e-13)
+
+    def integers(self, high):
+        return 0
+
+
+def test_literal_output_draw_stays_in_the_alphabet(monkeypatch):
+    """Channel rows summing to 1 - 5e-13 pass Channel's check.  A uniform
+    above that sum still draws an output symbol of the alphabet: each row's
+    thresholds are normalized by its own total, as for every literal draw."""
+    rows = np.array([[0.3, 0.7 - 5e-13], [0.7 - 5e-13, 0.3]])
+    blocks = []
+
+    def spy(g, words, block):
+        blocks.append(block)
+        return _literal_scores(g, words, block)
+
+    monkeypatch.setattr(RngStream, "generator", lambda self: _TopUniforms())
+    monkeypatch.setattr(simulate, "_literal_scores", spy)
+    simulate_channel_coding(Channel(rows), _U2, 0.3, 10, 3, "ml", RngStream(1),
+                            method="materialize")
+    assert len(blocks) == 3
+    assert all(block.min() >= 0 and block.max() < 2 for block in blocks)
