@@ -21,6 +21,7 @@ from .errors import (
     InvalidDistribution,
     InvalidParameter,
     NegativeWeight,
+    SymbolOutOfAlphabet,
     ZeroMarginal,
 )
 
@@ -171,6 +172,8 @@ def make_distribution(weights) -> Distribution:
 
 
 def uniform_distribution(n: int) -> Distribution:
+    if n < 1:
+        raise DimensionMismatch("alphabet size must be >= 1")
     return Distribution(np.full(n, 1.0 / n))
 
 
@@ -193,6 +196,8 @@ def joint_from(channel: Channel, input_dist: Distribution) -> JointDistribution:
 
 def info_ratio(joint: JointDistribution, x: int, y: int) -> float:
     """P(x, y) / (P(x) P(y)) for one symbol pair."""
+    if not (0 <= x < joint.probs.shape[0] and 0 <= y < joint.probs.shape[1]):
+        raise SymbolOutOfAlphabet(f"symbol pair ({x}, {y}) lies outside the joint alphabet")
     px = float(joint.probs[x, :].sum())
     py = float(joint.probs[:, y].sum())
     if px <= 0 or py <= 0:

@@ -261,7 +261,8 @@ def conditional_gaussian_rows(rng: RngStream) -> list[Row]:
     return rows
 
 
-def rank_one_rows(rng: RngStream, instances: int = 100) -> list[Row]:
+def rank_one_rows(rng: RngStream) -> list[Row]:
+    instances = 100
     gen = rng.substream(400).generator()
     worst_inv = 0.0
     worst_det = 0.0

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alphabet import Distribution
-from .errors import InvalidParameter, NonPositiveWeight
+from .errors import DimensionMismatch, InvalidParameter, NonPositiveWeight
 from .info_measures import _meeting_slope
 from .polytope import SimplexGaussian, simplex_gaussian_integral
 
@@ -68,7 +68,7 @@ def constrained_sum_estimate(q_source: Distribution, indicator_halfspace, n: int
     if np.any(q <= 0):
         raise NonPositiveWeight("source must be strictly positive")
     if c.shape != q.shape:
-        raise NonPositiveWeight("constraint vector must match the alphabet")
+        raise DimensionMismatch("constraint vector must match the alphabet")
 
     if float(q @ c) <= R:
         return 0.0

@@ -14,9 +14,9 @@ competing codewords are i.i.d., so the trial's success probability is a
 computable function of the block's type, and one Bernoulli draw per trial
 reproduces the protocol's success distribution without materializing the
 codebook.  Both paths are deterministic given (config, seed) and agree in
-distribution.  ``method="auto"`` takes the conditional path for fresh
-codebooks unless its largest score lattice is over ``LATTICE_GUARD`` while
-the literal run fits ``OPS_GUARD``; a fixed codebook is always literal.
+distribution.  ``method="auto"`` takes the conditional path unless its
+largest score lattice is over ``LATTICE_GUARD`` while the literal run fits
+``OPS_GUARD``.
 
 The literal paths draw every symbol (codewords, source block and channel
 outputs) with :func:`_draw`, as ``Generator.choice`` would, from the same
@@ -355,7 +355,6 @@ def _log_pow_one_minus(log_eps, log_m) -> np.ndarray:
 
 def simulate_channel_coding(channel: Channel, input_dist: Distribution, rate: float,
                             n: int, trials: int, decoder: str, rng: RngStream, *,
-                            fresh_codebook: bool = True,
                             method: str = "auto") -> TrialReport:
     """Random-coding Monte Carlo through a memoryless channel.
 
@@ -366,13 +365,13 @@ def simulate_channel_coding(channel: Channel, input_dist: Distribution, rate: fl
       succeeds iff it passes and no other index does (Feinstein's rule).
       ``ml``: argmax log likelihood with uniform tie-break.
 
-    method ``auto`` takes the exact conditional form for fresh codebooks
-    unless its score lattice would be over the lattice guard while the
-    literal run, N_m*n*trials operations, fits the operation guard; fixed
-    codebooks are always materialized.
+    method ``auto`` takes the exact conditional form unless its score
+    lattice would be over the lattice guard while the literal run,
+    N_m*n*trials operations, fits the operation guard.
     """
     if decoder not in ("threshold", "ml"):
         raise InvalidParameter("decoder must be 'threshold' or 'ml'")
+    _check_method(method)
     if trials < 1:
         raise InvalidParameter("trials must be >= 1")
     if channel.input_size != input_dist.alphabet_size:
@@ -381,57 +380,50 @@ def simulate_channel_coding(channel: Channel, input_dist: Distribution, rate: fl
     if log_m < _LN2:
         raise InvalidParameter("codebook needs at least 2 rows; raise rate or n")
 
-    law = None  # the conditional path's score law; fixed codebooks have none
-    if fresh_codebook:
-        with np.errstate(divide="ignore"):
-            law = _ScoreLaw(np.log(channel.rows), np.log(input_dist.probs))
+    with np.errstate(divide="ignore"):
+        law = _ScoreLaw(np.log(channel.rows), np.log(input_dist.probs))
     if _resolve_method(method, log_m, n, trials, law) == "materialize":
         return _channel_materialized(channel, input_dist, rate, n, trials,
-                                     decoder, rng, fresh_codebook, codebook_size(rate, n))
-    if law is None:
-        raise CodebookTooLarge("fixed-codebook runs require materialization")
+                                     decoder, rng, codebook_size(rate, n))
     return _channel_conditional(channel, input_dist, law, rate, n, trials, decoder, rng, log_m)
 
 
-def _resolve_method(method: str, log_m: float, n: int, trials: int,
-                    law: _ScoreLaw | None) -> str:
-    """``materialize`` or ``conditional``.  A materialized run costs
-    N_m*n*trials operations; that count is compared with the guard in log
-    space, so N_m need not exist as a number.  ``auto`` takes the exact
-    conditional path for a fresh-codebook run (``law`` given) unless its
-    largest lattice is over ``LATTICE_GUARD`` while the literal run fits
-    ``OPS_GUARD``; a fixed codebook is drawn literally."""
+def _check_method(method: str) -> None:
+    if method not in ("auto", "materialize", "conditional"):
+        raise InvalidParameter("method must be 'auto', 'materialize', or 'conditional'")
+
+
+def _resolve_method(method: str, log_m: float, n: int, trials: int, law: _ScoreLaw) -> str:
+    """``materialize`` or ``conditional``, for a method that passed
+    :func:`_check_method`.  A materialized run costs N_m*n*trials
+    operations; that count is compared with the guard in log space, so N_m
+    need not exist as a number.  ``auto`` takes the exact conditional path
+    unless its largest lattice is over ``LATTICE_GUARD`` while the literal
+    run fits ``OPS_GUARD``."""
     budget = OPS_GUARD / (n * trials)
     fits = budget > 0 and log_m <= math.log(budget)
     if method == "auto":
-        literal = fits and (law is None or _largest_lattice(law, n) > LATTICE_GUARD)
+        literal = fits and _largest_lattice(law, n) > LATTICE_GUARD
         return "materialize" if literal else "conditional"
     if method == "materialize" and not fits:
         raise CodebookTooLarge(
             f"materialized run needs ~e^{log_m + math.log(n * trials):.1f} operations"
             f" (guard {OPS_GUARD:.0e})"
         )
-    if method not in ("materialize", "conditional"):
-        raise InvalidParameter("method must be 'auto', 'materialize', or 'conditional'")
     return method
 
 
-def _channel_materialized(channel, input_dist, rate, n, trials, decoder, rng,
-                          fresh_codebook, n_m) -> TrialReport:
+def _channel_materialized(channel, input_dist, rate, n, trials, decoder, rng, n_m) -> TrialReport:
     rows = channel.rows
     p_in = input_dist.probs
     with np.errstate(divide="ignore"):
         log_rows = np.log(rows)
         log_p_out = np.log(p_in @ rows)
-    cdf_rows = _cdf(rows)
-    cdf_in = _cdf(p_in)
-    fixed_words = None
-    if not fresh_codebook:
-        fixed_words = _draw(rng.substream(2**31).generator(), cdf_in, (n_m, n))
+    cdf_rows, cdf_in = _cdf(rows), _cdf(p_in)
     successes = 0
     for i in range(trials):
         gen = rng.substream(i).generator()
-        words = fixed_words if fixed_words is not None else _draw(gen, cdf_in, (n_m, n))
+        words = _draw(gen, cdf_in, (n_m, n))
         m = int(gen.integers(n_m))
         y = _draw(gen, cdf_rows[words[m]].T, n)
         scores = _literal_scores(log_rows, words, y)
@@ -585,6 +577,7 @@ def simulate_rate_distortion(source: Distribution, test_channel: Channel, d, D: 
     some codeword passes the pairwise score margins at the given rate and its
     average distortion against the block is at most D.
     """
+    _check_method(method)
     if trials < 1:
         raise InvalidParameter("trials must be >= 1")
     d = _validate_distortion_matrix(source, d)

@@ -118,8 +118,8 @@ def joint_type_of(seq_x: Sequence[int], seq_y: Sequence[int],
                   nx: int, ny: int) -> JointSequenceType:
     x = np.asarray(seq_x, dtype=np.int64)
     y = np.asarray(seq_y, dtype=np.int64)
-    if x.shape != y.shape:
-        raise DimensionMismatch("paired sequences must have equal length")
+    if x.ndim != 1 or x.size == 0 or x.shape != y.shape:
+        raise DimensionMismatch("paired sequences must be non-empty, 1-D and of equal length")
     if x.min() < 0 or x.max() >= nx or y.min() < 0 or y.max() >= ny:
         raise SymbolOutOfAlphabet("symbols out of declared alphabets")
     counts = np.zeros((nx, ny), dtype=np.int64)

@@ -19,6 +19,7 @@ from ptshannon.errors import (
     DimensionMismatch,
     InvalidDistribution,
     NegativeWeight,
+    SymbolOutOfAlphabet,
     ZeroMarginal,
 )
 
@@ -117,6 +118,19 @@ def test_info_ratio_zero_marginal_rejected():
     j = JointDistribution(np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(ZeroMarginal):
         info_ratio(j, 1, 0)
+
+
+@pytest.mark.parametrize("x, y", [(-1, 0), (2, 0), (0, -1), (0, 2)])
+def test_info_ratio_rejects_foreign_symbols(x, y):
+    """A negative symbol is not read by wraparound as the last one."""
+    with pytest.raises(SymbolOutOfAlphabet):
+        info_ratio(joint_from(binary_symmetric_channel(0.1), uniform_distribution(2)), x, y)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_uniform_distribution_rejects_empty_alphabet(n):
+    with pytest.raises(DimensionMismatch):
+        uniform_distribution(n)
 
 
 def test_info_ratio_expectations_are_one():

@@ -14,7 +14,7 @@ from ptshannon import (
     saddle_of_weights,
     source_coding_exact_psuc,
 )
-from ptshannon.errors import NonPositiveWeight, PeakNearBoundary
+from ptshannon.errors import DimensionMismatch, NonPositiveWeight, PeakNearBoundary
 from ptshannon.saddle import saddle_normalization_estimate
 
 
@@ -67,6 +67,12 @@ def test_constrained_estimate_vertex_value():
     q = make_distribution([0.9, 0.1])
     c = -np.log(q.probs)
     assert constrained_sum_estimate(q, (c, float(c.min())), 100) == math.log(0.9)
+
+
+def test_constrained_estimate_rejects_wrong_length_constraint():
+    q = make_distribution([0.9, 0.1])
+    with pytest.raises(DimensionMismatch):
+        constrained_sum_estimate(q, (np.array([1.0, 2.0, 3.0]), 1.5), 100)
 
 
 def test_constrained_estimate_binary_exact_oracle():

@@ -32,6 +32,7 @@ from ptshannon.errors import (
     CodebookTooLarge,
     DegenerateMarginal,
     InfeasibleDistortion,
+    InvalidParameter,
     PtShannonError,
 )
 from ptshannon.simulate import (
@@ -542,26 +543,24 @@ def test_each_type_computed_once_per_run(monkeypatch):
 
 BSC_11 = [[0.89, 0.11], [0.11, 0.89]]
 CHANNEL_3X3 = [[0.73, 0.17, 0.10], [0.13, 0.79, 0.08], [0.29, 0.23, 0.48]]
-# (channel rows, input, rate, n, fresh codebook) -> successes (threshold, ml) at
-# seeds 1..5, 200 trials each
+# (channel rows, input, rate, n) -> successes (threshold, ml) at seeds 1..5,
+# 200 trials each
 PINNED_LITERAL_CHANNEL_RUNS = [
-    (BSC_11, [0.5, 0.5], 0.30, 24, True,
+    (BSC_11, [0.5, 0.5], 0.30, 24,
      ([123, 124, 111, 127, 119], [155, 161, 159, 160, 161])),
-    (CHANNEL_3X3, [0.6, 0.3, 0.1], 0.25, 20, True,
+    (CHANNEL_3X3, [0.6, 0.3, 0.1], 0.25, 20,
      ([79, 72, 68, 83, 71], [138, 118, 117, 132, 124])),
-    (BSC_11, [0.5, 0.5], 0.30, 24, False,
-     ([140, 118, 104, 126, 118], [166, 160, 155, 164, 157])),
 ]
 
 
-@pytest.mark.parametrize("rows, p_in, rate, n, fresh, want", PINNED_LITERAL_CHANNEL_RUNS,
-                         ids=["bsc-n24", "3x3-n20", "bsc-n24-fixed"])
-def test_literal_channel_counts_pinned(rows, p_in, rate, n, fresh, want):
+@pytest.mark.parametrize("rows, p_in, rate, n, want", PINNED_LITERAL_CHANNEL_RUNS,
+                         ids=["bsc-n24", "3x3-n20"])
+def test_literal_channel_counts_pinned(rows, p_in, rate, n, want):
     """Literal-codebook success counts for seeds 1-5, exactly: a change to
     how codewords are drawn or scored that moves any draw shows here."""
     got = tuple([simulate_channel_coding(Channel(np.array(rows)), make_distribution(p_in), rate,
                                          n, 200, decoder, RngStream(seed),
-                                         fresh_codebook=fresh, method="materialize").successes
+                                         method="materialize").successes
                  for seed in range(1, 6)] for decoder in ("threshold", "ml"))
     assert got == want
 
@@ -673,17 +672,6 @@ def test_channel_deterministic_and_seed_sensitive():
     assert a == b
 
 
-def test_channel_fixed_codebook_mode():
-    ch = binary_symmetric_channel(0.05)
-    u = uniform_distribution(2)
-    rep = simulate_channel_coding(ch, u, 0.25, 30, 500, "ml", RngStream(10),
-                                  fresh_codebook=False)
-    assert 0.0 <= rep.p_hat <= 1.0
-    with pytest.raises(CodebookTooLarge):
-        simulate_channel_coding(ch, u, 0.25, 400, 500, "ml", RngStream(10),
-                                fresh_codebook=False)
-
-
 def test_channel_materialize_guard():
     ch = binary_symmetric_channel(0.11)
     u = uniform_distribution(2)
@@ -750,8 +738,8 @@ def test_auto_lattice_check_is_small_at_large_n(rows, method):
 
 
 def test_auto_prefers_the_conditional_path():
-    """A fresh-codebook run that fits both paths takes the conditional one,
-    for channels and rate-distortion alike; a fixed codebook stays literal."""
+    """A run that fits both paths takes the conditional one, for channels
+    and rate-distortion alike."""
     ch, u = binary_symmetric_channel(0.11), uniform_distribution(2)
     for decoder in ("threshold", "ml"):
         assert (simulate_channel_coding(ch, u, 0.35, 18, 500, decoder, RngStream(3))
@@ -760,10 +748,6 @@ def test_auto_prefers_the_conditional_path():
     args = (u, binary_symmetric_channel(0.2), hamming_distortion(2), 0.2, 0.15, 60, 200)
     assert (simulate_rate_distortion(*args, RngStream(4))
             == simulate_rate_distortion(*args, RngStream(4), method="conditional"))
-    assert (simulate_channel_coding(ch, u, 0.3, 24, 50, "ml", RngStream(5),
-                                    fresh_codebook=False)
-            == simulate_channel_coding(ch, u, 0.3, 24, 50, "ml", RngStream(5),
-                                       fresh_codebook=False, method="materialize"))
 
 
 def test_auto_materializes_when_the_lattice_is_over_its_guard():
@@ -1067,6 +1051,18 @@ def test_simulator_rejection_is_typed(run):
     """Every argument a simulator rejects raises a PtShannonError."""
     with pytest.raises(PtShannonError):
         run()
+
+
+@pytest.mark.parametrize("kind", ["channel", "rd"])
+def test_unknown_method_rejected_before_any_work(kind, monkeypatch):
+    """An unknown method raises InvalidParameter before the score law is
+    built."""
+    def no_law(*args):
+        pytest.fail("_ScoreLaw built for an unknown method")
+
+    monkeypatch.setattr(simulate, "_ScoreLaw", no_law)
+    with pytest.raises(InvalidParameter):
+        REJECTED_RUNS[f"{kind}-method"]()
 
 
 class _TopUniforms:

@@ -64,6 +64,13 @@ def test_type_of_rejects_foreign_symbols():
         type_of([0, 2], 2)
 
 
+@pytest.mark.parametrize("x, y", [([], []), ([[0, 1], [1, 0]], [[0, 0], [1, 1]])],
+                         ids=["empty", "2-D"])
+def test_joint_type_of_rejects_empty_or_non_1d(x, y):
+    with pytest.raises(DimensionMismatch):
+        joint_type_of(x, y, 2, 2)
+
+
 def test_type_as_distribution():
     t = SequenceType((3, 1), 4)
     assert np.allclose(t.as_distribution().probs, [0.75, 0.25])
