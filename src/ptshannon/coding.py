@@ -79,10 +79,9 @@ class SourceCodingSetup:
         count on a symbol the source never emits costs +inf in
         source-dependent mode."""
         types = np.asarray(counts) / self.n
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore"):
             log_q = np.log(self.source.probs if self.mode == SOURCE_DEPENDENT else types)
-            cost = -np.where(types > 0, types * log_q, 0.0).sum(axis=1)
-        return cost <= self.rate
+        return -_masked_dot(types, log_q) <= self.rate
 
 
 def source_coding_exact_psuc(setup: SourceCodingSetup) -> float:

@@ -166,11 +166,12 @@ def log_multinomial(counts):
 
 def _masked_dot(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Row-wise sum of counts*values skipping zero counts, so absent -inf
-    values do not poison the result.  Lattice weights and scores, transmitted
-    block scores and exact lattice sums all go through here, keeping floats
-    bit-identical."""
+    values do not poison the result; values is one vector, or one row per
+    row of counts.  Lattice weights and scores, transmitted block scores,
+    exact lattice sums and the source encoder's cost all go through here,
+    keeping floats bit-identical."""
     with np.errstate(invalid="ignore"):
-        terms = np.where(counts > 0, counts * values[None, :], 0.0)
+        terms = np.where(counts > 0, counts * values, 0.0)
     return terms.sum(axis=1)
 
 
@@ -204,11 +205,9 @@ def type_array(parts: int, n: int) -> np.ndarray:
 
     Stars and bars: the parts - 1 bar positions among n + parts - 1 slots,
     taken in lexicographic order, fix the counts as the gaps between
-    consecutive bars, with a bar before the first slot and after the last.  The size is not guarded; callers compare
-    `count_types` with their own guard first.
+    consecutive bars, with a bar before the first slot and after the last.
+    `count_types` checks the arguments; callers compare it with a guard first.
     """
-    if parts < 1 or n < 0:
-        raise DimensionMismatch("parts must be positive and n non-negative")
     slots, rows = n + parts - 1, count_types(parts, n)
     edges = np.empty((rows, parts + 1), dtype=np.int64)
     edges[:, 0] = -1
@@ -233,11 +232,15 @@ def enumerate_types(alphabet_size: int, n: int) -> Iterator[SequenceType]:
 
 def count_types(alphabet_size: int, n: int) -> int:
     """Number of types: C(n + N - 1, N - 1) (stars and bars)."""
+    if alphabet_size < 1 or n < 0:
+        raise DimensionMismatch("alphabet_size must be positive and n non-negative")
     return math.comb(n + alphabet_size - 1, alphabet_size - 1)
 
 
 def type_density_estimate(alphabet_size: int, n: int) -> float:
     """Leading-order type count n^{N-1} / (N-1)!."""
+    if alphabet_size < 1 or n < 0:
+        raise DimensionMismatch("alphabet_size must be positive and n non-negative")
     return float(n) ** (alphabet_size - 1) / math.factorial(alphabet_size - 1)
 
 

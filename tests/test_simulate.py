@@ -47,6 +47,7 @@ from ptshannon.simulate import (
     _rd_fail_probability,
     _resolve_method,
     _ScoreLaw,
+    _sorted_tail,
     _win_probability,
 )
 from ptshannon.type_classes import _masked_dot, count_types, type_array
@@ -361,6 +362,36 @@ def test_log_mass_of_no_mass_is_minus_inf():
     assert _log_mass(log_pmf, np.ones(3, dtype=bool)) == 0.0
 
 
+@given(st.data())
+def test_sorted_tail_is_one_point_per_distinct_score(data):
+    """The table holds each distinct score once, ascending, and its suffix
+    entry is the mass at or above that score, against a brute-force fsum
+    log-sum-exp, on scores from a small pool (many exact ties, -inf among
+    them) with masses spread over far more than e^745 and some of mass 0.
+    The tolerance is rel 1e-13, with abs 1e-14 where a total mass near 1
+    makes its log cancel to near 0."""
+    size = data.draw(st.integers(0, 40))
+    pool = data.draw(st.lists(st.floats(-50, 50) | st.just(-math.inf), min_size=1, max_size=4))
+    values = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size)),
+                      dtype=float)
+    log_pmf = np.array(data.draw(st.lists(st.floats(-1500, 0) | st.just(-math.inf),
+                                          min_size=size, max_size=size)), dtype=float)
+    distinct, suffix = _sorted_tail(values, log_pmf)
+    assert distinct.tolist() == sorted(set(values.tolist()))
+    assert suffix.size == distinct.size + 1 and suffix[-1] == -math.inf
+    for v, got in zip(distinct.tolist(), suffix.tolist()):
+        x = log_pmf[values >= v].tolist()
+        top = max(x)
+        want = -math.inf if top == -math.inf else top + math.log(
+            math.fsum(math.exp(lp - top) for lp in x))
+        assert got == pytest.approx(want, rel=1e-13, abs=1e-14), v
+
+
+def test_sorted_tail_of_no_points():
+    distinct, suffix = _sorted_tail(np.array([]), np.array([]))
+    assert distinct.tolist() == [] and suffix.tolist() == [-math.inf]
+
+
 @st.composite
 def score_laws(draw, name: str):
     """A score law: Z or BEC (ln W holds -inf); a random ``channel`` of 2-3
@@ -488,6 +519,16 @@ def test_conditional_rd_ternary_count_pinned():
     rep = simulate_rate_distortion(src, rate_distortion(src, d, 0.15).optimal_test_channel, d,
                                    0.15, 0.55, 20, 500, RngStream(108), method="conditional")
     assert rep.successes == 264
+
+
+def test_conditional_rd_ternary_count_pinned_over_two_blocks():
+    """The ternary point of the test above at n = 24 over two trial blocks,
+    where later types recur and read the run's memo: 1 100 trials, exactly."""
+    src = make_distribution([0.5, 0.3, 0.2])
+    d = hamming_distortion(3)
+    rep = simulate_rate_distortion(src, rate_distortion(src, d, 0.15).optimal_test_channel, d,
+                                   0.15, 0.55, 24, 1100, RngStream(108), method="conditional")
+    assert rep.successes == 315
 
 
 def test_each_type_computed_once_per_run(monkeypatch):

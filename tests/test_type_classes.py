@@ -201,6 +201,15 @@ def test_type_array_rejects_empty_alphabet():
         type_array(2, -1)
 
 
+@pytest.mark.parametrize("count", [count_types, type_density_estimate])
+@pytest.mark.parametrize("alphabet_size, n", [(0, 3), (-1, 3), (2, -1)])
+def test_type_counts_reject_empty_alphabet_and_negative_n(count, alphabet_size, n):
+    """As type_array does: not math's bare ValueError for an empty alphabet,
+    nor a count of 0 (or -1.0) at n = -1."""
+    with pytest.raises(DimensionMismatch):
+        count(alphabet_size, n)
+
+
 def test_type_density_asymptotic():
     for N in (2, 3):
         for n in (50, 100, 200):
