@@ -44,12 +44,11 @@ from .type_classes import (
     ENUMERATION_GUARD,
     JointSequenceType,
     SequenceType,
+    _masked_dot,
     class_size,
-    class_size_int,
     conditional_class_size_int,
     count_types,
-    enumerate_types,
-    iid_type_probability,
+    multinomial_int,
     type_array,
     type_count_identity_check,
     type_density_estimate,
@@ -69,21 +68,18 @@ def _row(check, detail, value, reference, tol, status=None) -> Row:
 
 def partition_rows(max_n: int) -> list[Row]:
     """Type classes partition the sequence space: exact size sum and the
-    probability normalization sum over the lattice."""
+    probability normalization sum over each (N, n) type array."""
     rows = []
-    q_by_size = {2: Distribution(np.array([0.9, 0.1])),
-                 3: Distribution(np.array([0.5, 0.3, 0.2]))}
-    for N in (2, 3):
-        q = q_by_size[N]
+    for q in ([0.9, 0.1], [0.5, 0.3, 0.2]):
+        N, log_q = len(q), np.log(q)
         for n in range(1, max_n + 1):
-            total = 0
+            counts = type_array(N, n)
+            sizes = [multinomial_int(row) for row in counts.tolist()]
             prob_sum = 0.0
-            for t in enumerate_types(N, n):
-                size = class_size_int(t)
-                total += size
-                prob_sum += size * math.exp(iid_type_probability(t, q))
+            for size, log_p in zip(sizes, _masked_dot(counts, log_q).tolist()):
+                prob_sum += size * math.exp(log_p)
             rows.append(_row("type_partition_count", f"N={N},n={n}",
-                             float(total), float(N**n), 0.0))
+                             float(sum(sizes)), float(N**n), 0.0))
             rows.append(_row("type_partition_prob", f"N={N},n={n}",
                              prob_sum, 1.0, 1e-12))
     return rows

@@ -7,10 +7,10 @@ class sizes (big-integer, and logs gathered from one log-factorial table), the
 Stirling-based asymptotic size estimate, type enumeration, conditional types,
 and the exact counting identities that tie them together.
 
-Types are enumerated once, in lexicographic order: `type_array` returns
-every count vector as one row of an int64 array, for numeric sums over the
-type lattice, and `enumerate_types` yields its rows as `SequenceType`
-objects.  The identities checked here:
+Types are enumerated once, in lexicographic order: `type_array` gathers
+every count vector into one row of an int64 array, one part at a time, for
+numeric sums over the type lattice, and `enumerate_types` yields its rows
+as `SequenceType` objects.  The identities checked here:
 
   * the classes partition the sequence space: sum of sizes = N^n;
   * conditional class size = joint class size / marginal class size;
@@ -19,7 +19,6 @@ objects.  The identities checked here:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -201,22 +200,27 @@ def class_size_int(t: SequenceType) -> int:
 
 def type_array(parts: int, n: int) -> np.ndarray:
     """Every composition of n into `parts` non-negative parts as one
-    (count_types(parts, n), parts) int64 array, in lexicographic order.
+    C-contiguous (count_types(parts, n), parts) int64 array, in lexicographic
+    order, built one part at a time from the 2-part array [c, n - c].
 
-    Stars and bars: the parts - 1 bar positions among n + parts - 1 slots,
-    taken in lexicographic order, fix the counts as the gaps between
-    consecutive bars, with a bar before the first slot and after the last.
-    `count_types` checks the arguments; callers compare it with a guard first.
-    """
-    slots, rows = n + parts - 1, count_types(parts, n)
-    edges = np.empty((rows, parts + 1), dtype=np.int64)
-    edges[:, 0] = -1
-    edges[:, -1] = slots
-    edges[:, 1:-1] = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(slots), parts - 1)),
-        dtype=np.int64, count=rows * (parts - 1),
-    ).reshape(rows, parts - 1)
-    return np.diff(edges, axis=1) - 1
+    The k-part rows with first count c are the last count_types(k - 1, n - c)
+    rows of the (k - 1)-part array, c taken off their first count, so one
+    repeat/arange index gathers every column; block sizes are the suffix sums
+    of the last level's.  `count_types` checks the arguments; callers compare
+    it with a guard first."""
+    out = np.empty((count_types(parts, n), parts), dtype=np.int64)
+    first = np.arange(n + 1)
+    cols = [first, n - first] if parts > 1 else [n]
+    sizes = np.ones(n + 1, dtype=np.int64)  # sizes[c] = count_types(k - 1, n - c)
+    for _ in range(3, parts + 1):
+        sizes = sizes[::-1].cumsum()[::-1]
+        ends = sizes.cumsum()
+        idx = np.arange(ends[-1]) + np.repeat(sizes[0] - ends, sizes)
+        c = np.repeat(first, sizes)
+        cols = [c, cols[0][idx] - c, *(col[idx] for col in cols[1:])]
+    for j, col in enumerate(cols):
+        out[:, j] = col
+    return out
 
 
 def enumerate_types(alphabet_size: int, n: int) -> Iterator[SequenceType]:

@@ -148,6 +148,24 @@ def source_coding_success(probs, rate: float, n: int, mode: str) -> tuple[float,
     return math.fsum(terms), gap
 
 
+def stars_and_bars(parts: int, n: int) -> np.ndarray:
+    """Every composition of n into `parts` non-negative parts as one
+    (rows, parts) int64 array, in lexicographic order.  The parts - 1 bar
+    positions among n + parts - 1 slots, taken in lexicographic order, fix
+    the counts as the gaps between consecutive bars, with a bar before the
+    first slot and after the last: the reference for `type_array`, which
+    gathers the same array one part at a time."""
+    slots, rows = n + parts - 1, math.comb(n + parts - 1, parts - 1)
+    edges = np.empty((rows, parts + 1), dtype=np.int64)
+    edges[:, 0] = -1
+    edges[:, -1] = slots
+    edges[:, 1:-1] = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(slots), parts - 1)),
+        dtype=np.int64, count=rows * (parts - 1),
+    ).reshape(rows, parts - 1)
+    return np.diff(edges, axis=1) - 1
+
+
 def _compositions(total: int, parts: int):
     if parts == 1:
         yield (total,)

@@ -109,6 +109,23 @@ def test_A01_type_partition(battery):
                for row in rows["type_partition_prob"].values())
 
 
+def test_A01_partition_rows_match_per_type_loop():
+    """The rows read from one type array per (N, n) equal, value for value,
+    the sums taken one `SequenceType` at a time."""
+    want = []
+    for q in (pt.Distribution(np.array([0.9, 0.1])), pt.Distribution(np.array([0.5, 0.3, 0.2]))):
+        for n in range(1, 15):
+            total, prob_sum = 0, 0.0
+            for t in pt.enumerate_types(q.alphabet_size, n):
+                size = pt.class_size_int(t)
+                total += size
+                prob_sum += size * math.exp(pt.iid_type_probability(t, q))
+            detail = f"N={q.alphabet_size},n={n}"
+            want += [("type_partition_count", detail, float(total)),
+                     ("type_partition_prob", detail, prob_sum)]
+    assert [row[:3] for row in claims.partition_rows(14)] == want
+
+
 # --- A02: Stirling class-size estimate ---------------------------------------------
 
 def test_A02_stirling_class_size(battery):

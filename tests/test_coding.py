@@ -122,6 +122,17 @@ def test_exact_psuc_matches_per_type_loop(weights, n, rate, mode):
     assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
+def test_exact_psuc_pinned_large_sums():
+    """Two large exact sums pinned to the last bit: an enumerator that
+    reorders the type rows moves them."""
+    ternary = make_distribution([0.5, 0.3, 0.2])
+    setup = SourceCodingSetup(ternary, entropy(ternary) + 0.02, 600, SOURCE_DEPENDENT)
+    assert source_coding_exact_psuc(setup) == 0.9096162863641636
+    quaternary = make_distribution([0.4, 0.3, 0.2, 0.1])
+    setup = SourceCodingSetup(quaternary, 1.25, 100, UNIVERSAL)
+    assert source_coding_exact_psuc(setup) == 0.34262379846627466
+
+
 def test_exact_psuc_source_with_zero_entry():
     """A symbol the source never emits leaves the types over the others:
     here a ternary source is the binary one with an unused third letter."""

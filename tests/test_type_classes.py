@@ -2,10 +2,11 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
@@ -42,7 +43,7 @@ from ptshannon.type_classes import (
     type_density_estimate,
 )
 
-from oracles import _compositions
+from oracles import _compositions, stars_and_bars
 
 
 # --- type extraction -----------------------------------------------------------
@@ -181,6 +182,32 @@ def test_type_array_matches_compositions(parts, n):
     assert arr.dtype == np.int64
     assert arr.shape == (count_types(parts, n), parts)
     assert [tuple(row) for row in arr.tolist()] == list(_compositions(n, parts))
+
+
+@given(parts=st.integers(1, 6), n=st.integers(0, 40))
+@example(parts=3, n=600)
+@example(parts=4, n=100)
+@example(parts=2, n=1000)
+def test_type_array_matches_stars_and_bars(parts, n):
+    """The gathered array equals the stars-and-bars enumerator in values,
+    shape, dtype and C-contiguous layout, which `_masked_dot`'s row sums
+    read."""
+    got, want = type_array(parts, n), stars_and_bars(parts, n)
+    assert got.dtype == np.int64 and got.flags.c_contiguous
+    assert got.shape == want.shape == (count_types(parts, n), parts)
+    assert np.array_equal(got, want)
+
+
+def test_type_array_peak_memory():
+    """Building type_array(4, 100) allocates at most 2.5 times its result."""
+    type_array(4, 100)
+    tracemalloc.start()
+    try:
+        result = type_array(4, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * result.nbytes
 
 
 @given(parts=st.integers(1, 4), n=st.integers(0, 9))
