@@ -17,6 +17,11 @@ A08: the CLI ``claims`` and ``integrals`` subcommands write its rows, and
 Status is ``pass`` or ``fail``: every row is gated against the value the
 method defines at the given parameters, with its finite-n corrections where
 the method has them, so an approximation-regime mismatch shows as a failure.
+
+A05's Gaussian rows check the one simplex-Gaussian closed form against
+quadrature and against formulas written out in the row; sherman_morrison_inverse
+and det_first_order_eps_halving gate against each instance's own rounding bound
+and exact finite-eps ratio, not against a fixed window.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ from .type_classes import (
 )
 
 Row = tuple
+EPS = float(np.finfo(float).eps)
 
 
 def _row(check, detail, value, reference, tol, status=None) -> Row:
@@ -169,7 +175,7 @@ def gaussian_rows(rng: RngStream) -> list[Row]:
     t = np.linspace(0.0, 1.0, 400_001)
     for lam, c in (((1000.0, 1500.0), 0.45), ((1000.0, 1000.0), 0.5)):
         center = Distribution(np.array([c, 1.0 - c]))
-        closed = simplex_gaussian_integral(SimplexGaussian(center, lambdas=np.array(lam)))
+        closed = simplex_gaussian_integral(SimplexGaussian(center, np.diag(lam)))
         integrand = np.exp(-lam[0] * (t - c) ** 2 - lam[1] * ((1 - t) - (1 - c)) ** 2)
         quad = float(np.trapezoid(integrand, t))
         rows.append(_row("simplex_gaussian_vs_quadrature",
@@ -186,7 +192,7 @@ def gaussian_rows(rng: RngStream) -> list[Row]:
         lam = gen.uniform(180.0, 500.0, size=N)
         c = 1.0 / N
         closed = simplex_gaussian_integral(SimplexGaussian(uniform_distribution(N),
-                                                           lambdas=lam))
+                                                           np.diag(lam)))
         axis = np.linspace(0.0, 2 * c, 41)
         pts = np.stack(np.meshgrid(*[axis] * (N - 1), indexing="ij"), axis=-1)
         pts = pts.reshape(-1, N - 1)
@@ -195,25 +201,23 @@ def gaussian_rows(rng: RngStream) -> list[Row]:
         quad = float(np.exp(-expo)[last >= 0].sum()) * (axis[1] - axis[0]) ** (N - 1)
         rows.append(_row("simplex_gaussian_vs_quadrature", f"N={N}", closed / quad,
                          1.0, 1e-5))
-    # matrix form reduces to the diagonal form
+    # diagonal A: the parallel-resistance form sqrt(pi^(N-1) / (prod lam * sum 1/lam))
     lam = np.array([130.0, 95.0, 250.0])
-    center = uniform_distribution(3)
-    diag_val = simplex_gaussian_integral(SimplexGaussian(center, lambdas=lam))
-    mat_val = simplex_gaussian_integral(SimplexGaussian(center, matrix=np.diag(lam)))
+    mat_val = simplex_gaussian_integral(SimplexGaussian(uniform_distribution(3), np.diag(lam)))
+    diag_val = math.sqrt(math.pi ** 2 / (float(np.prod(lam)) * float(np.sum(1.0 / lam))))
     rows.append(_row("simplex_gaussian_matrix_diag", "N=3", mat_val, diag_val, 1e-12))
     return rows
 
 
 def conditional_gaussian_rows(rng: RngStream) -> list[Row]:
     rows = []
-    # single-block reduction: nx=1 conditional equals the matrix simplex form
+    # single block: sqrt(pi^(N-1) / (det A * 1^T A^-1 1)) from det and solve
     gen = rng.substream(300).generator()
     B = gen.normal(size=(3, 3))
     A = B @ B.T + 200.0 * np.eye(3)
-    center = uniform_distribution(3)
-    plain = simplex_gaussian_integral(SimplexGaussian(center, matrix=A))
-    cond = conditional_simplex_gaussian_integral(A, 1, 3,
-                                                 center_rows=center.probs[None, :])
+    ones = np.ones(3)
+    plain = math.sqrt(math.pi ** 2 / (np.linalg.det(A) * float(ones @ np.linalg.solve(A, ones))))
+    cond = conditional_simplex_gaussian_integral(A, 1, 3, center_rows=np.full((1, 3), 1 / 3))
     rows.append(_row("conditional_gaussian_single_block", "nx=1,ny=3",
                      cond, plain, 1e-12 * plain))
     # block-diagonal across x factorizes
@@ -257,10 +261,30 @@ def conditional_gaussian_rows(rng: RngStream) -> list[Row]:
     return rows
 
 
+def _sherman_morrison_bound(E, Ei, A, p, q) -> float:
+    """First-order rounding bound on max |A^-1 A - I| for the Sherman-Morrison
+    inverse of A = E + p q^T built from the computed E^-1:
+    n eps (|E^-1||E| + |u|_1 |w|_1 |A| / |d| + |E^-1||A| + |u|_inf |q|_1 (|q|^T |u|) / |d|)
+    with u = E^-1 p, w = q^T E^-1, d = 1 + q^T u and infinity norms.  The last
+    term is the rounding of d, which dominates when q^T u nearly cancels the 1."""
+    u = Ei @ p
+    d = abs(1.0 + float(q @ u))
+    nE, nEi, nA = np.abs((E, Ei, A)).sum(axis=2).max(axis=1).tolist()
+    # builtins on lists: these vectors have at most 6 entries
+    au, aw, aq = np.abs((u, q @ Ei, q)).tolist()
+    qu = sum(a * b for a, b in zip(aq, au))
+    return p.size * EPS * (nEi * (nE + nA) + (sum(au) * sum(aw) * nA + max(au) * sum(aq) * qu) / d)
+
+
 def rank_one_rows(rng: RngStream) -> list[Row]:
+    """Sherman-Morrison inverse and determinant lemma on random updates
+    E + p q^T.  Each inverse's residual is gated against its own rounding
+    bound (`_sherman_morrison_bound`) times 2, so one badly conditioned
+    instance does not fail the row; the row reports the instance nearest its
+    gate."""
     instances = 100
     gen = rng.substream(400).generator()
-    worst_inv = 0.0
+    worst_inv = (-1.0, 0.0, 0.0)  # residual / bound, residual, bound
     worst_det = 0.0
     for _ in range(instances):
         n = int(gen.integers(2, 7))
@@ -271,25 +295,40 @@ def rank_one_rows(rng: RngStream) -> list[Row]:
         detE = float(np.linalg.det(E))
         Ai, detA = sherman_morrison(Ei, detE, p, q)
         A = E + np.outer(p, q)
-        worst_inv = max(worst_inv, float(np.max(np.abs(Ai @ A - np.eye(n)))))
+        resid = float(np.max(np.abs(Ai @ A - np.eye(n))))
+        bound = _sherman_morrison_bound(E, Ei, A, p, q)
+        worst_inv = max(worst_inv, (resid / bound, resid, bound))
         ref_det = float(np.linalg.det(A))
         worst_det = max(worst_det, abs(detA - ref_det) / max(abs(ref_det), 1e-30))
+    _, resid, bound = worst_inv
     return [
-        _row("sherman_morrison_inverse", f"{instances} instances", worst_inv, 0.0, 1e-12),
+        # twice the bound: over claims seeds 0-29999 (3e6 instances) no residual
+        # passed 0.77 of it
+        _row("sherman_morrison_inverse", f"{instances} instances", resid, 0.0, 2.0 * bound),
         _row("matrix_determinant_lemma", f"{instances} instances", worst_det, 0.0, 1e-10),
     ]
 
 
 def det_expansion_rows(rng: RngStream) -> list[Row]:
+    """Halving eps divides the error of det(I + eps A) ~ 1 + eps tr A by the
+    exact ratio R(eps) / R(eps/2), where R(eps) = sum_{k>=2} sigma_k(A) eps^k
+    and sigma_k are the elementary symmetric sums of A's eigenvalues.  That
+    ratio is near 4 only while sigma_3 eps is small next to sigma_2.  The
+    tolerance is what 8 ulps of rounding in each determinant do to the ratio."""
     gen = rng.substream(500).generator()
     A = gen.normal(size=(4, 4))
     eps = 1e-3
-    e1 = abs(np.linalg.det(np.eye(4) + eps * A) - det_first_order(A, eps))
-    e2 = abs(np.linalg.det(np.eye(4) + 0.5 * eps * A) - det_first_order(A, 0.5 * eps))
-    ratio = e1 / e2
-    ok = 3.5 <= ratio <= 4.5
-    return [_row("det_first_order_eps_halving", "4x4,eps=1e-3", ratio, 4.0, 0.5,
-                 status="pass" if ok else "fail")]
+    # np.poly(A) holds (-1)^k sigma_k; sigma_4, sigma_3, sigma_2 in polyval order
+    tail = (np.poly(A) * (-1.0) ** np.arange(5))[:1:-1]
+    errs, exact, rel_tol = [], [], 0.0
+    for h in (eps, 0.5 * eps):
+        det = np.linalg.det(np.eye(4) + h * A)
+        errs.append(abs(det - det_first_order(A, h)))
+        exact.append(float(np.polyval(tail, h)) * h * h)
+        rel_tol += 8 * np.spacing(abs(det)) / abs(exact[-1])
+    ratio = abs(exact[0] / exact[1])
+    return [_row("det_first_order_eps_halving", "4x4,eps=1e-3", errs[0] / errs[1],
+                 ratio, ratio * rel_tol)]
 
 
 def smoothed_delta_rows(n: int, eps: float) -> list[Row]:

@@ -3,9 +3,10 @@ evaluate them.
 
 The integration operator is the delta-constrained product measure
 DP = prod_x dP_x * delta(sum_x P_x - 1); its total volume is 1/(N-1)!.
-Sharply peaked Gaussians on the simplex admit closed forms as long as the
-peak stays away from the boundary; guards enforce that regime rather than
-silently extrapolating.
+Sharply peaked Gaussians on the simplex admit one closed form, evaluated for
+a stack of conditional simplices; a single simplex and diagonal curvatures
+are its special cases.  It holds as long as the peak stays away from the
+boundary; guards enforce that regime rather than silently extrapolating.
 """
 
 from __future__ import annotations
@@ -64,30 +65,12 @@ def dirichlet_integral(exponents) -> float:
 
 @dataclass(frozen=True)
 class SimplexGaussian:
-    """exp(-sum_x lambda_x (P_x - Q_x)^2) or exp(-(P-Q)^T A (P-Q)) on the simplex."""
+    """exp(-(P-Q)^T A (P-Q)) on the simplex, peaked at Q = ``center``, with
+    A = ``matrix``; per-coordinate curvatures lambda_x are A = diag(lambda).
+    The integral checks A."""
 
     center: Distribution
-    lambdas: np.ndarray | None = None
-    matrix: np.ndarray | None = None
-
-    def __post_init__(self):
-        n = self.center.alphabet_size
-        if (self.lambdas is None) == (self.matrix is None):
-            raise DimensionMismatch("provide exactly one of lambdas or matrix")
-        if self.lambdas is not None:
-            lam = np.asarray(self.lambdas, dtype=float)
-            if lam.shape != (n,):
-                raise DimensionMismatch("lambdas must match the alphabet size")
-            if np.any(lam <= 0):
-                raise LambdaTooSmall("all lambda_x must be positive")
-            object.__setattr__(self, "lambdas", lam)
-        else:
-            A = np.asarray(self.matrix, dtype=float)
-            if A.shape != (n, n):
-                raise DimensionMismatch("matrix must be N x N")
-            if not np.allclose(A, A.T, atol=1e-10):
-                raise SingularMatrix("matrix form requires a symmetric A")
-            object.__setattr__(self, "matrix", A)
+    matrix: np.ndarray
 
 
 def _check_peak(center: np.ndarray, lam_min: float) -> None:
@@ -104,35 +87,18 @@ def _check_peak(center: np.ndarray, lam_min: float) -> None:
 
 
 def simplex_gaussian_integral(g: SimplexGaussian) -> float:
-    """Closed form for a sharply peaked Gaussian on the simplex.
+    """Closed form for a sharply peaked Gaussian on the simplex: the one-row
+    stack of `conditional_simplex_gaussian_integral`,
+    sqrt(pi^(N-1) / (det A * 1^T A^-1 1)).
 
-    Diagonal curvatures: sqrt(pi^(N-1) / (prod_x lambda_x * sum_x 1/lambda_x)),
-    the parallel-resistance combination of the lambdas.  General symmetric
-    positive-definite A: sqrt(pi^(N-1) / (det A * 1^T A^-1 1)); the grand sum
-    of A^-1 reduces to the trace only in the diagonal case, and only the
-    grand-sum form agrees with quadrature off the diagonal (the constraint
-    direction is the all-ones vector, which a diagonalizing rotation moves).
+    For A = diag(lambda) this is the parallel-resistance combination
+    sqrt(pi^(N-1) / (prod_x lambda_x * sum_x 1/lambda_x)).  Off the diagonal
+    the grand sum of A^-1, not its trace, is what agrees with quadrature:
+    the constraint direction is the all-ones vector, which a diagonalizing
+    rotation moves.
     """
     q = g.center.probs
-    n = q.size
-    if g.lambdas is not None:
-        lam = g.lambdas
-        _check_peak(q, float(lam.min()))
-        log_val = 0.5 * ((n - 1) * math.log(math.pi)
-                         - float(np.log(lam).sum())
-                         - math.log(float(np.sum(1.0 / lam))))
-        return float(np.exp(log_val))
-    A = g.matrix
-    eigs = np.linalg.eigvalsh(A)
-    if eigs.min() <= 0:
-        raise SingularMatrix("matrix form requires positive-definite A")
-    _check_peak(q, float(eigs.min()))
-    ones = np.ones(n)
-    grand = float(ones @ np.linalg.solve(A, ones))
-    log_val = 0.5 * ((n - 1) * math.log(math.pi)
-                     - float(np.log(eigs).sum())
-                     - math.log(grand))
-    return float(np.exp(log_val))
+    return conditional_simplex_gaussian_integral(g.matrix, 1, q.size, q[None, :])
 
 
 def conditional_simplex_gaussian_integral(A, nx: int, ny: int,
@@ -145,6 +111,10 @@ def conditional_simplex_gaussian_integral(A, nx: int, ny: int,
     boundary.  Returns
     sqrt(pi^(nx*ny - nx) / (det A * det M)) where
     M[x1, x2] = sum_{y1, y2} A^-1[(x1, y1), (x2, y2)].
+
+    This is the package's one evaluation of the Gaussian-on-the-simplex
+    closed form and the one place its inputs are checked: a single simplex
+    is nx = 1, where M is the grand sum 1^T A^-1 1.
     """
     A = np.asarray(A, dtype=float)
     dim = nx * ny
@@ -225,11 +195,11 @@ def smoothed_delta_normalization(delta: SmoothedDelta, q: Distribution) -> Smoot
     """Check both normalization identities of the smoothed delta family.
 
     The continuous check integrates exp(-|P - q|^2/eps^2)/V_eps over the
-    simplex via the closed form (lambda_x = 1/eps^2 uniformly).  The discrete
-    checks sum over the type lattice around the reference class: the sequence
-    sum weights each class by sqrt(d_class/d_ref)/V_(n*eps) exactly as the
-    sequence-level delta prescribes, while the type sum discretizes the
-    continuous integral with lattice density n^(N-1).
+    simplex via the closed form at A = I/eps^2.  The discrete checks sum over
+    the type lattice around the reference class: the sequence sum weights
+    each class by sqrt(d_class/d_ref)/V_(n*eps) exactly as the sequence-level
+    delta prescribes, while the type sum discretizes the continuous integral
+    with lattice density n^(N-1).
     """
     ref = delta.reference_class
     n, N = ref.n, ref.alphabet_size
@@ -243,8 +213,8 @@ def smoothed_delta_normalization(delta: SmoothedDelta, q: Distribution) -> Smoot
             "smoothed delta wider than the gap to the simplex boundary"
         )
 
-    lam = np.full(q.alphabet_size, 1.0 / eps ** 2)
-    continuous = simplex_gaussian_integral(SimplexGaussian(q, lambdas=lam))
+    curvature = np.eye(q.alphabet_size) / eps ** 2
+    continuous = simplex_gaussian_integral(SimplexGaussian(q, curvature))
     continuous /= simplex_patch_volume(eps, q.alphabet_size)
 
     counts = type_array(N, n)

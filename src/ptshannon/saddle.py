@@ -83,16 +83,15 @@ def constrained_sum_estimate(q_source: Distribution, indicator_halfspace, n: int
 def gaussian_correction(result: SaddleResult) -> float:
     """Log of the Gaussian fluctuation factor around the stationary point.
 
-    The quadratic piece exp(delta2 L / 2) has per-coordinate curvature
-    lambda_x = n / (2 T(x)); the closed-form simplex Gaussian then gives
-    (2 pi / n)^((N-1)/2) sqrt(prod T).  Composed with the lattice density
+    The quadratic piece exp(delta2 L / 2) has the diagonal curvature matrix
+    A = -delta2 L / 2 = diag(n / (2 T(x))); the closed-form simplex Gaussian
+    then gives (2 pi / n)^((N-1)/2) sqrt(prod T).  Composed with the lattice density
     n^(N-1) and the entropy-free class-size prefactor, the saddle estimate of
     the normalization sum collapses to exactly 1, which is the
     self-consistency that fixes the lattice density.
     """
-    tilde = result.tilde_point
-    lam = -np.diag(result.second_variation) / 2.0
-    value = simplex_gaussian_integral(SimplexGaussian(tilde, lambdas=lam))
+    curvature = -result.second_variation / 2.0
+    value = simplex_gaussian_integral(SimplexGaussian(result.tilde_point, curvature))
     return float(np.log(value))
 
 

@@ -81,6 +81,14 @@ def smoothed_delta_sequence_sum(n: int, eps: float, alphabet_size: int) -> float
     return (lam0 / (lam0 + n * alphabet_size / 4.0)) ** ((alphabet_size - 1) / 2.0)
 
 
+def parallel_resistance_gaussian(lam) -> float:
+    """Gaussian integral over the simplex with diagonal curvatures lam, in its
+    closed form sqrt(pi^(N-1) / (prod lam * sum 1/lam)): along the simplex the
+    curvatures combine like resistors in parallel."""
+    lam = np.asarray(lam, dtype=float)
+    return math.sqrt(math.pi ** (lam.size - 1) / (float(np.prod(lam)) * float(np.sum(1.0 / lam))))
+
+
 def simplex_uniform_sample(dim: int, size: int, rng: RngStream) -> np.ndarray:
     """Uniform points on the (dim-1)-simplex via normalized exponential draws."""
     gen = rng.generator()

@@ -181,6 +181,41 @@ def test_A05_polytope_integrals(battery):
     assert sm_tol <= 1e-12 and det_tol <= 1e-10
 
 
+# claims seeds where an absolute 1e-12 gate failed sherman_morrison_inverse
+# (an instance with 1 + q^T E^-1 p = 2.9e-4, cond(A) = 4.1e4) and a [3.5, 4.5]
+# window failed det_first_order_eps_halving (sigma_3 eps not small next to
+# sigma_2: ratio 4.88)
+RANK_ONE_SEED = 1199242144615739732
+DET_EXPANSION_SEED = 6002615
+
+
+@pytest.mark.parametrize("seed", [1, RANK_ONE_SEED])
+def test_A05_rank_one_gate(seed, monkeypatch):
+    """The rank-one rows pass, and an update applied with the wrong sign
+    still fails the inverse row."""
+    assert [row[-1] for row in claims.rank_one_rows(RngStream(seed))] == ["pass", "pass"]
+
+    def flipped(E_inverse, det_E, p, q):
+        inverse, det = pt.sherman_morrison(E_inverse, det_E, p, q)
+        return 2 * np.asarray(E_inverse) - inverse, det
+
+    monkeypatch.setattr(claims, "sherman_morrison", flipped)
+    inv_row, _ = claims.rank_one_rows(RngStream(seed))
+    assert inv_row[0] == "sherman_morrison_inverse" and inv_row[-1] == "fail"
+
+
+@pytest.mark.parametrize("seed", [1, DET_EXPANSION_SEED])
+def test_A05_det_expansion_gate(seed, monkeypatch):
+    """The eps-halving row passes, and a first-order term off by a factor of
+    1.001 still fails it."""
+    (row,) = claims.det_expansion_rows(RngStream(seed))
+    assert row[-1] == "pass"
+    monkeypatch.setattr(claims, "det_first_order",
+                        lambda A, eps: 1.0 + 1.001 * eps * float(np.trace(A)))
+    (row,) = claims.det_expansion_rows(RngStream(seed))
+    assert row[-1] == "fail"
+
+
 # --- A06: smoothed-delta normalization ---------------------------------------------------
 
 def test_A06a_smoothed_delta_continuous(battery):

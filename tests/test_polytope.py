@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ptshannon import (
     Distribution,
@@ -30,7 +32,11 @@ from ptshannon.errors import (
 )
 from ptshannon.polytope import simplex_patch_volume
 
-from oracles import simplex_mc_integral, smoothed_delta_sequence_sum
+from oracles import (
+    parallel_resistance_gaussian,
+    simplex_mc_integral,
+    smoothed_delta_sequence_sum,
+)
 
 
 # --- Dirichlet ------------------------------------------------------------------
@@ -66,7 +72,7 @@ def test_dirichlet_rejects_nonpositive():
 
 def test_gaussian_symmetric_binary_closed_form():
     for L in (100.0, 1000.0):
-        g = SimplexGaussian(uniform_distribution(2), lambdas=np.array([L, L]))
+        g = SimplexGaussian(uniform_distribution(2), np.diag([L, L]))
         assert simplex_gaussian_integral(g) == pytest.approx(
             math.sqrt(math.pi / (2 * L)), rel=1e-12)
 
@@ -74,7 +80,7 @@ def test_gaussian_symmetric_binary_closed_form():
 def test_gaussian_vs_quadrature_binary():
     lam = np.array([1000.0, 1300.0])
     center = Distribution(np.array([0.48, 0.52]))
-    closed = simplex_gaussian_integral(SimplexGaussian(center, lambdas=lam))
+    closed = simplex_gaussian_integral(SimplexGaussian(center, np.diag(lam)))
     t = np.linspace(0, 1, 400_001)
     vals = np.exp(-lam[0] * (t - 0.48) ** 2 - lam[1] * ((1 - t) - 0.52) ** 2)
     quad = float(np.trapezoid(vals, t))
@@ -90,7 +96,7 @@ def test_gaussian_vs_monte_carlo_interior_configs():
         n = int(gen.integers(2, 5))
         lam = gen.uniform(160.0, 500.0, size=n)
         center = uniform_distribution(n)
-        g = SimplexGaussian(center, lambdas=lam)
+        g = SimplexGaussian(center, np.diag(lam))
         closed = simplex_gaussian_integral(g)
 
         def f(pts, lam=lam, c=center.probs):
@@ -104,12 +110,25 @@ def test_gaussian_vs_monte_carlo_interior_configs():
 def test_gaussian_matrix_form_matches_diagonal():
     lam = np.array([150.0, 90.0, 220.0])
     center = uniform_distribution(3)
-    a = simplex_gaussian_integral(SimplexGaussian(center, lambdas=lam))
-    b = simplex_gaussian_integral(SimplexGaussian(center, matrix=np.diag(lam)))
+    a = parallel_resistance_gaussian(lam)
+    b = simplex_gaussian_integral(SimplexGaussian(center, np.diag(lam)))
     assert b == pytest.approx(a, rel=1e-12)
     # diagonal case of the grand-sum formula is the parallel combination
     assert np.linalg.det(np.diag(lam)) * np.sum(1 / lam) == pytest.approx(
         np.prod(lam) * np.sum(1 / lam))
+
+
+@given(st.integers(2, 6).flatmap(lambda N: st.tuples(
+    st.lists(st.floats(2e3, 1e9), min_size=N, max_size=N),
+    st.lists(st.floats(1.0, 2.0), min_size=N, max_size=N))))
+def test_gaussian_diagonal_is_parallel_resistance(case):
+    """At any interior peak with diagonal curvatures the one closed form is
+    the parallel-resistance formula (each center coordinate is at least
+    1/(2N) >= 3/sqrt(2e3), clear of the boundary guard)."""
+    lam, weights = map(np.array, case)
+    center = Distribution(weights / weights.sum())
+    got = simplex_gaussian_integral(SimplexGaussian(center, np.diag(lam)))
+    assert got == pytest.approx(parallel_resistance_gaussian(lam), rel=1e-12)
 
 
 def test_gaussian_matrix_form_vs_quadrature_offdiagonal():
@@ -129,11 +148,11 @@ def test_gaussian_matrix_form_vs_quadrature_offdiagonal():
 def test_gaussian_guards():
     with pytest.raises(LambdaTooSmall):
         simplex_gaussian_integral(
-            SimplexGaussian(uniform_distribution(2), lambdas=np.array([5.0, 50.0])))
+            SimplexGaussian(uniform_distribution(2), np.diag([5.0, 50.0])))
     with pytest.raises(PeakNearBoundary):
         simplex_gaussian_integral(
             SimplexGaussian(Distribution(np.array([0.02, 0.98])),
-                            lambdas=np.array([100.0, 100.0])))
+                            np.diag([100.0, 100.0])))
     with pytest.raises(SingularMatrix):
         simplex_gaussian_integral(
             SimplexGaussian(uniform_distribution(2),
@@ -147,7 +166,8 @@ def test_conditional_gaussian_single_block_reduction():
     B = gen.normal(size=(3, 3))
     A = B @ B.T + 150 * np.eye(3)
     center = uniform_distribution(3)
-    plain = simplex_gaussian_integral(SimplexGaussian(center, matrix=A))
+    ones = np.ones(3)
+    plain = math.sqrt(math.pi ** 2 / (np.linalg.det(A) * (ones @ np.linalg.solve(A, ones))))
     cond = conditional_simplex_gaussian_integral(A, 1, 3, center_rows=center.probs[None, :])
     assert cond == pytest.approx(plain, rel=1e-12)
 
