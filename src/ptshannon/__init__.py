@@ -41,7 +41,6 @@ from .info_measures import (
     relative_information,
 )
 from .polytope import (
-    SimplexGaussian,
     SmoothedDelta,
     conditional_simplex_gaussian_integral,
     det_first_order,

@@ -18,10 +18,14 @@ Status is ``pass`` or ``fail``: every row is gated against the value the
 method defines at the given parameters, with its finite-n corrections where
 the method has them, so an approximation-regime mismatch shows as a failure.
 
-A05's Gaussian rows check the one simplex-Gaussian closed form against
-quadrature and against formulas written out in the row; sherman_morrison_inverse
-and det_first_order_eps_halving gate against each instance's own rounding bound
-and exact finite-eps ratio, not against a fixed window.
+The battery has one quadrature, `_simplex_riemann_sum`: a Riemann sum under
+DP over a stack of simplices.  A05's Gaussian rows check the one
+simplex-Gaussian closed form against it and against formulas written out in
+the row, and A08's saddle_integral_vs_exact_sum integrates the saddle's
+continuous integrand with it.  sherman_morrison_inverse and
+matrix_determinant_lemma gate each instance against its own rounding bound,
+and det_first_order_eps_halving against the exact finite-eps ratio, not
+against a fixed window.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from .coding import SourceCodingSetup, source_coding_exact_psuc
 from .errors import InstanceTooLarge
 from .info_measures import entropy
 from .polytope import (
-    SimplexGaussian,
     SmoothedDelta,
     conditional_simplex_gaussian_integral,
     det_first_order,
@@ -169,41 +172,53 @@ def dirichlet_rows() -> list[Row]:
     return rows
 
 
+def _simplex_riemann_sum(log_f, center_rows, half_width: float, points: int) -> float:
+    """The battery's one quadrature: a Riemann sum of exp(log_f(P)) under DP
+    for a stack of nx simplices, one per row of the nx x ny P.  Each row's
+    first ny-1 coordinates run over ``points`` uniform values within
+    ``half_width`` of ``center_rows``, its last is 1 minus their sum, and
+    points with a coordinate <= 0 are dropped; ``log_f`` gets the rest as one
+    (points, nx, ny) array.  A smooth peak converges spectrally."""
+    rows = np.asarray(center_rows, dtype=float)
+    nx, ny = rows.shape
+    offsets = np.linspace(-half_width, half_width, points)
+    axes = [c + offsets for c in rows[:, :-1].ravel().tolist()]
+    free = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, nx, ny - 1)
+    P = np.concatenate([free, 1.0 - free.sum(axis=2, keepdims=True)], axis=2)
+    P = P[(P > 0).all(axis=(1, 2))]
+    return float(np.exp(log_f(P)).sum() * (offsets[1] - offsets[0]) ** (nx * (ny - 1)))
+
+
+def _gaussian_quadrature(A, center_rows, half_width: float, points: int) -> float:
+    """`_simplex_riemann_sum` of exp(-(P - Q)^T A (P - Q)), with P and the
+    peak Q = ``center_rows`` flattened row by row."""
+    def log_f(P):
+        dev = P.reshape(len(P), -1) - np.ravel(center_rows)
+        return -((dev @ A) * dev).sum(axis=1)
+    return _simplex_riemann_sum(log_f, center_rows, half_width, points)
+
+
 def gaussian_rows(rng: RngStream) -> list[Row]:
-    rows = []
-    # N=2 closed form vs quadrature
-    t = np.linspace(0.0, 1.0, 400_001)
-    for lam, c in (((1000.0, 1500.0), 0.45), ((1000.0, 1000.0), 0.5)):
-        center = Distribution(np.array([c, 1.0 - c]))
-        closed = simplex_gaussian_integral(SimplexGaussian(center, np.diag(lam)))
-        integrand = np.exp(-lam[0] * (t - c) ** 2 - lam[1] * ((1 - t) - (1 - c)) ** 2)
-        quad = float(np.trapezoid(integrand, t))
-        rows.append(_row("simplex_gaussian_vs_quadrature",
-                         f"N=2,lam={lam[0]:g}:{lam[1]:g},c={c}", closed / quad, 1.0, 1e-3))
-    # N=3,4 closed form vs a Riemann sum over the simplex, on a uniform grid
-    # of the first N-1 coordinates in [0, 2/N].  Outside that box and near
-    # its edges the integrand is below e^(-lam_min/N^2) < e^-11, so the sum
-    # converges spectrally.  The closed form integrates over the whole plane;
-    # the Gaussian mass outside the simplex is about 1e-7 of the value at
-    # worst (N=4, every lam=180).
+    # closed form vs quadrature at N=2: the curvature along the simplex is at
+    # least 2000, so 0.2 from the peak the integrand is below e^-80
+    cases = [(f"N=2,lam={a:g}:{b:g},c={c}", np.array([a, b]), np.array([c, 1.0 - c]),
+              0.2, 201, 1e-3) for (a, b), c in (((1000.0, 1500.0), 0.45), ((1000.0, 1000.0), 0.5))]
+    # and at N=3,4 over the first N-1 coordinates in [0, 2/N].  Outside that
+    # box and near its edges the integrand is below e^(-lam_min/N^2) < e^-11.
+    # The closed form integrates over the whole plane; the Gaussian mass
+    # outside the simplex is about 1e-7 of the value at worst (N=4, every lam=180).
     for idx, N in enumerate((3, 4)):
-        gen = rng.substream(100 + idx).generator()
         # 3/sqrt(lam_min) must clear the 1/N interior margin for any draw
-        lam = gen.uniform(180.0, 500.0, size=N)
-        c = 1.0 / N
-        closed = simplex_gaussian_integral(SimplexGaussian(uniform_distribution(N),
-                                                           np.diag(lam)))
-        axis = np.linspace(0.0, 2 * c, 41)
-        pts = np.stack(np.meshgrid(*[axis] * (N - 1), indexing="ij"), axis=-1)
-        pts = pts.reshape(-1, N - 1)
-        last = 1.0 - pts.sum(axis=1)
-        expo = (lam[:-1] * (pts - c) ** 2).sum(axis=1) + lam[-1] * (last - c) ** 2
-        quad = float(np.exp(-expo)[last >= 0].sum()) * (axis[1] - axis[0]) ** (N - 1)
-        rows.append(_row("simplex_gaussian_vs_quadrature", f"N={N}", closed / quad,
-                         1.0, 1e-5))
+        lam = rng.substream(100 + idx).generator().uniform(180.0, 500.0, size=N)
+        cases.append((f"N={N}", lam, np.full(N, 1.0 / N), 1.0 / N, 41, 1e-5))
+    rows = []
+    for detail, lam, center, half_width, points, tol in cases:
+        closed = simplex_gaussian_integral(Distribution(center), np.diag(lam))
+        quad = _gaussian_quadrature(np.diag(lam), center[None, :], half_width, points)
+        rows.append(_row("simplex_gaussian_vs_quadrature", detail, closed / quad, 1.0, tol))
     # diagonal A: the parallel-resistance form sqrt(pi^(N-1) / (prod lam * sum 1/lam))
     lam = np.array([130.0, 95.0, 250.0])
-    mat_val = simplex_gaussian_integral(SimplexGaussian(uniform_distribution(3), np.diag(lam)))
+    mat_val = simplex_gaussian_integral(uniform_distribution(3), np.diag(lam))
     diag_val = math.sqrt(math.pi ** 2 / (float(np.prod(lam)) * float(np.sum(1.0 / lam))))
     rows.append(_row("simplex_gaussian_matrix_diag", "N=3", mat_val, diag_val, 1e-12))
     return rows
@@ -222,70 +237,58 @@ def conditional_gaussian_rows(rng: RngStream) -> list[Row]:
                      cond, plain, 1e-12 * plain))
     # block-diagonal across x factorizes
     gen = rng.substream(301).generator()
-    blocks = []
-    vals = []
+    blocks = [B @ B.T + 150.0 * np.eye(2) for B in gen.normal(size=(2, 2, 2))]
+    vals = [simplex_gaussian_integral(uniform_distribution(2), blk) for blk in blocks]
     rows_c = np.full((2, 2), 0.5)
-    for _ in range(2):
-        B = gen.normal(size=(2, 2))
-        blk = B @ B.T + 150.0 * np.eye(2)
-        blocks.append(blk)
-        vals.append(simplex_gaussian_integral(
-            SimplexGaussian(uniform_distribution(2), matrix=blk)))
     A = np.zeros((4, 4))
-    A[:2, :2] = blocks[0]
-    A[2:, 2:] = blocks[1]
+    A[:2, :2], A[2:, 2:] = blocks
     cond = conditional_simplex_gaussian_integral(A, 2, 2, center_rows=rows_c)
     rows.append(_row("conditional_gaussian_block_product", "nx=2,ny=2",
                      cond, vals[0] * vals[1], 1e-12 * vals[0] * vals[1]))
-    # random positive-definite A vs 2-D quadrature (one free variable per row)
+    # random positive-definite A vs quadrature (one free coordinate per row):
+    # the form is at least 4000 |u|^2 (A >= 2000 I, each row direction has
+    # squared norm 2), so 0.1 from the peak the integrand is below e^-40.  Over
+    # claims seeds 0-29999 the error stayed below 4.3e-15, while a closed form
+    # with the trace of A^-1 in place of the grand sum was off by 3.4e-8 or more
     gen = rng.substream(302).generator()
     B = gen.normal(size=(4, 4))
     A = B @ B.T + 2000.0 * np.eye(4)
     cond = conditional_simplex_gaussian_integral(A, 2, 2, center_rows=rows_c)
-    # the form is at least 4000 |u|^2 (A >= 2000 I, each row direction has
-    # squared norm 2), so past |u| = 0.1 the integrand is below e^-40 of its
-    # peak: the grid of spacing 1/1200 stops there
-    u = np.arange(-120, 121) / 1200.0
-    du = u[1] - u[0]
-    U0, U1 = np.meshgrid(u, u, indexing="ij")
-    # row deviations: (u, -u) per row
-    v0 = np.array([1.0, -1.0, 0.0, 0.0])
-    v1 = np.array([0.0, 0.0, 1.0, -1.0])
-    q00 = v0 @ A @ v0
-    q01 = v0 @ A @ v1
-    q11 = v1 @ A @ v1
-    integrand = np.exp(-(q00 * U0**2 + 2 * q01 * U0 * U1 + q11 * U1**2))
-    quad = float(integrand.sum() * du * du)
+    quad = _gaussian_quadrature(A, rows_c, 0.1, 41)
     rows.append(_row("conditional_gaussian_vs_quadrature", "nx=2,ny=2",
-                     cond / quad, 1.0, 1e-2))
+                     cond / quad, 1.0, 1e-10))
     return rows
 
 
-def _sherman_morrison_bound(E, Ei, A, p, q) -> float:
-    """First-order rounding bound on max |A^-1 A - I| for the Sherman-Morrison
-    inverse of A = E + p q^T built from the computed E^-1:
-    n eps (|E^-1||E| + |u|_1 |w|_1 |A| / |d| + |E^-1||A| + |u|_inf |q|_1 (|q|^T |u|) / |d|)
-    with u = E^-1 p, w = q^T E^-1, d = 1 + q^T u and infinity norms.  The last
-    term is the rounding of d, which dominates when q^T u nearly cancels the 1."""
+def _rank_one_bounds(E, Ei, A, Ai, p, q) -> tuple[float, float]:
+    """First-order rounding bounds for A = E + p q^T built from the computed
+    E^-1, with u = E^-1 p, w = q^T E^-1, d = 1 + q^T u and infinity norms:
+    on max |A^-1 A - I| for the Sherman-Morrison inverse,
+    n eps (|E^-1||E| + |u|_1 |w|_1 |A| / |d| + |E^-1||A| + |u|_inf |q|_1 (|q|^T |u|) / |d|),
+    and on the relative error of det E * d against np.linalg.det(A),
+    n eps (|E||E^-1| + |A||A^-1| + |q|^T |u| / |d|).  The terms in
+    |q|^T |u| / |d| are the rounding of d, which dominates when q^T u nearly
+    cancels the 1."""
     u = Ei @ p
     d = abs(1.0 + float(q @ u))
-    nE, nEi, nA = np.abs((E, Ei, A)).sum(axis=2).max(axis=1).tolist()
+    nE, nEi, nA, nAi = np.abs((E, Ei, A, Ai)).sum(axis=2).max(axis=1).tolist()
     # builtins on lists: these vectors have at most 6 entries
     au, aw, aq = np.abs((u, q @ Ei, q)).tolist()
     qu = sum(a * b for a, b in zip(aq, au))
-    return p.size * EPS * (nEi * (nE + nA) + (sum(au) * sum(aw) * nA + max(au) * sum(aq) * qu) / d)
+    unit = p.size * EPS
+    return (unit * (nEi * (nE + nA) + (sum(au) * sum(aw) * nA + max(au) * sum(aq) * qu) / d),
+            unit * (nE * nEi + nA * nAi + qu / d))
 
 
 def rank_one_rows(rng: RngStream) -> list[Row]:
     """Sherman-Morrison inverse and determinant lemma on random updates
-    E + p q^T.  Each inverse's residual is gated against its own rounding
-    bound (`_sherman_morrison_bound`) times 2, so one badly conditioned
-    instance does not fail the row; the row reports the instance nearest its
-    gate."""
+    E + p q^T.  Each instance's inverse residual and relative determinant
+    error are gated against their own rounding bounds (`_rank_one_bounds`)
+    times 2, so one badly conditioned instance does not fail a row; each row
+    reports the instance nearest its gate."""
     instances = 100
     gen = rng.substream(400).generator()
-    worst_inv = (-1.0, 0.0, 0.0)  # residual / bound, residual, bound
-    worst_det = 0.0
+    worst_inv = worst_det = (-1.0, 0.0, 0.0)  # error / bound, error, bound
     for _ in range(instances):
         n = int(gen.integers(2, 7))
         E = gen.normal(size=(n, n)) + n * np.eye(n)
@@ -295,18 +298,17 @@ def rank_one_rows(rng: RngStream) -> list[Row]:
         detE = float(np.linalg.det(E))
         Ai, detA = sherman_morrison(Ei, detE, p, q)
         A = E + np.outer(p, q)
+        inv_bound, det_bound = _rank_one_bounds(E, Ei, A, Ai, p, q)
         resid = float(np.max(np.abs(Ai @ A - np.eye(n))))
-        bound = _sherman_morrison_bound(E, Ei, A, p, q)
-        worst_inv = max(worst_inv, (resid / bound, resid, bound))
+        worst_inv = max(worst_inv, (resid / inv_bound, resid, inv_bound))
         ref_det = float(np.linalg.det(A))
-        worst_det = max(worst_det, abs(detA - ref_det) / max(abs(ref_det), 1e-30))
-    _, resid, bound = worst_inv
-    return [
-        # twice the bound: over claims seeds 0-29999 (3e6 instances) no residual
-        # passed 0.77 of it
-        _row("sherman_morrison_inverse", f"{instances} instances", resid, 0.0, 2.0 * bound),
-        _row("matrix_determinant_lemma", f"{instances} instances", worst_det, 0.0, 1e-10),
-    ]
+        det_err = abs(detA - ref_det) / max(abs(ref_det), 1e-30)
+        worst_det = max(worst_det, (det_err / det_bound, det_err, det_bound))
+    # twice the bounds: over claims seeds 0-29999 (3e6 instances) no residual
+    # passed 0.77 of its bound, and no determinant error 0.81 of its
+    return [_row(name, f"{instances} instances", err, 0.0, 2.0 * bound)
+            for name, (_, err, bound) in (("sherman_morrison_inverse", worst_inv),
+                                          ("matrix_determinant_lemma", worst_det))]
 
 
 def det_expansion_rows(rng: RngStream) -> list[Row]:
@@ -364,16 +366,18 @@ def saddle_rows() -> list[Row]:
     rows = []
     q = Distribution(np.array([0.52, 0.48]))
     errs = []
-    # continuous integral of the full integrand by quadrature:
-    # sqrt(n / (2 pi t (1-t))) exp(n L(t)), with L(t) = sum T ln(q/T)
-    t = np.linspace(1e-9, 1 - 1e-9, 400_001)
-    L = t * np.log(q.probs[0] / t) + (1 - t) * np.log(q.probs[1] / (1 - t))
-    pref = 1.0 / np.sqrt(2 * math.pi * t * (1 - t))
+
+    # the continuous integral sqrt(n / (2 pi T_0 T_1)) exp(n L(T)), with
+    # L(T) = sum T ln(q/T), on a grid from T_0 = 0 (dropped) past T_0 = 1
+    def log_f(P, n):
+        T = P[:, 0]
+        return (0.5 * np.log(n / (2 * math.pi * T.prod(axis=1)))
+                + n * (T * np.log(q.probs / T)).sum(axis=1))
     for n in (50, 100, 200):
         est = saddle_normalization_estimate(q, n)
         rows.append(_row("saddle_composition_identity", f"n={n}",
                          math.exp(est), 1.0, 1e-10))
-        val = math.sqrt(n) * float(np.trapezoid(pref * np.exp(n * L), t))
+        val = _simplex_riemann_sum(lambda P: log_f(P, n), q.probs[None, :], q.probs[0], 2001)
         errs.append(abs(val - 1.0))
         rows.append(_row("saddle_integral_vs_exact_sum", f"n={n}", val, 1.0, 2e-2))
     halves = all(errs[i + 1] <= 0.75 * errs[i] for i in range(len(errs) - 1))
@@ -395,8 +399,9 @@ def run_all(rng: RngStream, appendix_only: bool = False, *, partition_max_n: int
     The enumeration guards run before any row is computed."""
     rows: list[Row] = []
     if not appendix_only:
-        # each power is capped at n = 64, far past its guard, so a huge n fails at once
-        if count_types(3, partition_max_n) * 3**min(partition_max_n, 64) > 10**9:
+        # the ternary partition rows sum the types of every n <= partition_max_n,
+        # sum_{n<=m} count_types(3, n) = count_types(4, m) - 1 of them
+        if count_types(4, partition_max_n) - 1 > ENUMERATION_GUARD:
             raise InstanceTooLarge(
                 f"check type_partition: n={partition_max_n} exceeds the enumeration guard")
         if chain_rule_max_n * 2**min(chain_rule_max_n, 64) > ENUMERATION_GUARD:

@@ -71,7 +71,7 @@ def _number(kind, ok, what):
     return parse
 
 
-_real = _number(float, lambda x: not math.isnan(x), "a number")
+_real = _number(float, math.isfinite, "a finite number")
 _positive = _number(float, lambda x: x > 0, "a positive number")
 _natural = _number(int, lambda x: x >= 0, "an integer >= 0")
 _blocklength = _number(int, lambda x: 1 <= x < 2**63, "an integer in [1, 2**63)")

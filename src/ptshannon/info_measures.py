@@ -151,8 +151,8 @@ def _validate_distortion_matrix(source: Distribution, d: np.ndarray) -> np.ndarr
     d = np.asarray(d, dtype=float)
     if d.ndim != 2 or d.shape[0] != source.alphabet_size or d.size == 0:
         raise DimensionMismatch("distortion matrix must be (source symbols) x (reproductions)")
-    if np.any(~(d >= 0)):
-        raise InfeasibleDistortion("distortion entries must be non-negative numbers")
+    if not np.all((d >= 0) & (d < math.inf)):
+        raise InfeasibleDistortion("distortion entries must be finite non-negative numbers")
     if d.shape[0] == d.shape[1] and np.any(np.diag(d) != 0):
         raise InfeasibleDistortion("d(x, x) must vanish on the diagonal")
     return d

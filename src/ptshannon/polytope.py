@@ -63,16 +63,6 @@ def dirichlet_integral(exponents) -> float:
 
 # --- Gaussian on the simplex --------------------------------------------------
 
-@dataclass(frozen=True)
-class SimplexGaussian:
-    """exp(-(P-Q)^T A (P-Q)) on the simplex, peaked at Q = ``center``, with
-    A = ``matrix``; per-coordinate curvatures lambda_x are A = diag(lambda).
-    The integral checks A."""
-
-    center: Distribution
-    matrix: np.ndarray
-
-
 def _check_peak(center: np.ndarray, lam_min: float) -> None:
     if lam_min < LAMBDA_MIN:
         raise LambdaTooSmall(
@@ -86,8 +76,9 @@ def _check_peak(center: np.ndarray, lam_min: float) -> None:
         )
 
 
-def simplex_gaussian_integral(g: SimplexGaussian) -> float:
-    """Closed form for a sharply peaked Gaussian on the simplex: the one-row
+def simplex_gaussian_integral(center: Distribution, matrix) -> float:
+    """Closed form for the sharply peaked Gaussian exp(-(P-Q)^T A (P-Q)) on
+    the simplex, with peak Q = ``center`` and A = ``matrix``: the one-row
     stack of `conditional_simplex_gaussian_integral`,
     sqrt(pi^(N-1) / (det A * 1^T A^-1 1)).
 
@@ -97,8 +88,8 @@ def simplex_gaussian_integral(g: SimplexGaussian) -> float:
     the constraint direction is the all-ones vector, which a diagonalizing
     rotation moves.
     """
-    q = g.center.probs
-    return conditional_simplex_gaussian_integral(g.matrix, 1, q.size, q[None, :])
+    q = center.probs
+    return conditional_simplex_gaussian_integral(matrix, 1, q.size, q[None, :])
 
 
 def conditional_simplex_gaussian_integral(A, nx: int, ny: int,
@@ -214,7 +205,7 @@ def smoothed_delta_normalization(delta: SmoothedDelta, q: Distribution) -> Smoot
         )
 
     curvature = np.eye(q.alphabet_size) / eps ** 2
-    continuous = simplex_gaussian_integral(SimplexGaussian(q, curvature))
+    continuous = simplex_gaussian_integral(q, curvature)
     continuous /= simplex_patch_volume(eps, q.alphabet_size)
 
     counts = type_array(N, n)

@@ -19,7 +19,7 @@ import numpy as np
 from .alphabet import Distribution
 from .errors import DimensionMismatch, InvalidParameter, NonPositiveWeight
 from .info_measures import _meeting_slope
-from .polytope import SimplexGaussian, simplex_gaussian_integral
+from .polytope import simplex_gaussian_integral
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ def gaussian_correction(result: SaddleResult) -> float:
     self-consistency that fixes the lattice density.
     """
     curvature = -result.second_variation / 2.0
-    value = simplex_gaussian_integral(SimplexGaussian(result.tilde_point, curvature))
+    value = simplex_gaussian_integral(result.tilde_point, curvature)
     return float(np.log(value))
 
 

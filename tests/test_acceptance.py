@@ -176,17 +176,33 @@ def test_A05_polytope_integrals(battery):
     quad = rows["simplex_gaussian_vs_quadrature"]
     assert set(quad) == {"N=2,lam=1000:1500,c=0.45", "N=2,lam=1000:1000,c=0.5", "N=3", "N=4"}
     assert all(row[2] <= (1e-3 if d.startswith("N=2") else 1e-5) for d, row in quad.items())
+    (cond_tol,) = [row[2] for row in rows["conditional_gaussian_vs_quadrature"].values()]
     (sm_tol,) = [row[2] for row in rows["sherman_morrison_inverse"].values()]
     (det_tol,) = [row[2] for row in rows["matrix_determinant_lemma"].values()]
-    assert sm_tol <= 1e-12 and det_tol <= 1e-10
+    assert cond_tol <= 1e-10 and sm_tol <= 1e-12 and det_tol <= 1e-10
+
+
+def test_A05_quadrature_catches_the_trace_form(monkeypatch):
+    """A closed form with the trace of each block of A^-1 in place of its
+    grand sum agrees wherever A is diagonal, so only the off-diagonal
+    quadrature row can catch it; it does."""
+    def trace_form(A, nx, ny, center_rows):
+        M = np.einsum("xyzy->xz", np.linalg.inv(A).reshape(nx, ny, nx, ny))
+        return math.sqrt(math.pi ** (nx * ny - nx) / (np.linalg.det(A) * np.linalg.det(M)))
+
+    monkeypatch.setattr(claims, "conditional_simplex_gaussian_integral", trace_form)
+    status = {row[0]: row[-1] for row in claims.conditional_gaussian_rows(RngStream(1))}
+    assert status["conditional_gaussian_vs_quadrature"] == "fail"
 
 
 # claims seeds where an absolute 1e-12 gate failed sherman_morrison_inverse
-# (an instance with 1 + q^T E^-1 p = 2.9e-4, cond(A) = 4.1e4) and a [3.5, 4.5]
+# (an instance with 1 + q^T E^-1 p = 2.9e-4, cond(A) = 4.1e4), a [3.5, 4.5]
 # window failed det_first_order_eps_halving (sigma_3 eps not small next to
-# sigma_2: ratio 4.88)
+# sigma_2: ratio 4.88) and a relative 1e-10 gate failed matrix_determinant_lemma
+# (an instance with 1 + q^T E^-1 p = -3.2e-6, cond(A) = 7.1e5)
 RANK_ONE_SEED = 1199242144615739732
 DET_EXPANSION_SEED = 6002615
+DET_LEMMA_SEED = 3763
 
 
 @pytest.mark.parametrize("seed", [1, RANK_ONE_SEED])
@@ -202,6 +218,22 @@ def test_A05_rank_one_gate(seed, monkeypatch):
     monkeypatch.setattr(claims, "sherman_morrison", flipped)
     inv_row, _ = claims.rank_one_rows(RngStream(seed))
     assert inv_row[0] == "sherman_morrison_inverse" and inv_row[-1] == "fail"
+
+
+@pytest.mark.parametrize("seed", [1, DET_LEMMA_SEED])
+def test_A05_determinant_lemma_gate(seed, monkeypatch):
+    """The determinant-lemma row passes, and a determinant off by a relative
+    1e-9 still fails it."""
+    _, row = claims.rank_one_rows(RngStream(seed))
+    assert row[0] == "matrix_determinant_lemma" and row[-1] == "pass"
+
+    def off(E_inverse, det_E, p, q):
+        inverse, det = pt.sherman_morrison(E_inverse, det_E, p, q)
+        return inverse, det * (1 + 1e-9)
+
+    monkeypatch.setattr(claims, "sherman_morrison", off)
+    _, row = claims.rank_one_rows(RngStream(seed))
+    assert row[-1] == "fail"
 
 
 @pytest.mark.parametrize("seed", [1, DET_EXPANSION_SEED])

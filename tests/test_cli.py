@@ -34,11 +34,23 @@ def test_malformed_json_rejected(tmp_path):
 
 
 def test_instance_too_large_surfaced(tmp_path, capsys):
+    """n = 400: the ternary partition rows would sum count_types(4, 400) - 1
+    = 1.09e7 types, over the enumeration guard."""
     cfg = write_config(tmp_path / "c.json",
-                       {"kind": "claims", "parameters": {"partition_max_n": 50},
+                       {"kind": "claims", "parameters": {"partition_max_n": 400},
                         "output_path": str(tmp_path / "o.csv"), "seed": 1})
     assert main(["claims", "--config", cfg]) == 2
     assert "type_partition" in capsys.readouterr().err
+
+
+def test_partition_guard_counts_the_types_summed(tmp_path):
+    """n = 15 sums 815 ternary types: it runs and passes, though its 3^15
+    sequences times its types once counted as over the guard."""
+    cfg = write_config(tmp_path / "c.json",
+                       {"kind": "claims", "parameters": {"partition_max_n": 15},
+                        "output_path": str(tmp_path / "o.csv"), "seed": 1})
+    assert main(["claims", "--config", cfg]) == 0
+    assert "type_partition_count,N=3,n=15," in (tmp_path / "o.csv").read_text()
 
 
 def test_conditional_class_guard_checked_before_compute(tmp_path, capsys):
@@ -266,6 +278,9 @@ MALFORMED = [
     ("integrals", "delta_eps", 1e-200),
     ("integrals", "delta_eps", 1e-160),
     ("rate-distortion", "D", True),
+    ("rate-distortion", "d", [[0, math.inf], [1, 0]]),
+    ("rd-curve", "d", [[0, 1], [-math.inf, 0]]),
+    ("rd-curve", "D_grid", [math.inf]),
 ]
 
 

@@ -344,6 +344,14 @@ def test_rate_distortion_nan_parameters_rejected():
             rate_distortion(src, d, 0.1, tol=tol)
 
 
+def test_rate_distortion_infinite_distortion_rejected():
+    """An infinite entry is rejected before any step, instead of running the
+    loop to its step cap."""
+    d = np.array([[0.0, math.inf], [1.0, 0.0]])
+    with pytest.raises(InfeasibleDistortion, match="finite"):
+        rate_distortion(uniform_distribution(2), d, 0.1)
+
+
 def test_rate_distortion_at_vanishing_reproduction():
     """D = (N-1) p_min, where the optimal reproduction law loses a symbol."""
     p = np.array([0.5, 0.3, 0.2])

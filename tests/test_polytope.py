@@ -11,7 +11,6 @@ from ptshannon import (
     Distribution,
     RngStream,
     SequenceType,
-    SimplexGaussian,
     SmoothedDelta,
     conditional_simplex_gaussian_integral,
     det_first_order,
@@ -30,6 +29,7 @@ from ptshannon.errors import (
     SingularMatrix,
     SingularUpdate,
 )
+from ptshannon.claims import _gaussian_quadrature
 from ptshannon.polytope import simplex_patch_volume
 
 from oracles import (
@@ -72,15 +72,14 @@ def test_dirichlet_rejects_nonpositive():
 
 def test_gaussian_symmetric_binary_closed_form():
     for L in (100.0, 1000.0):
-        g = SimplexGaussian(uniform_distribution(2), np.diag([L, L]))
-        assert simplex_gaussian_integral(g) == pytest.approx(
+        assert simplex_gaussian_integral(uniform_distribution(2), np.diag([L, L])) == pytest.approx(
             math.sqrt(math.pi / (2 * L)), rel=1e-12)
 
 
 def test_gaussian_vs_quadrature_binary():
     lam = np.array([1000.0, 1300.0])
     center = Distribution(np.array([0.48, 0.52]))
-    closed = simplex_gaussian_integral(SimplexGaussian(center, np.diag(lam)))
+    closed = simplex_gaussian_integral(center, np.diag(lam))
     t = np.linspace(0, 1, 400_001)
     vals = np.exp(-lam[0] * (t - 0.48) ** 2 - lam[1] * ((1 - t) - 0.52) ** 2)
     quad = float(np.trapezoid(vals, t))
@@ -96,8 +95,7 @@ def test_gaussian_vs_monte_carlo_interior_configs():
         n = int(gen.integers(2, 5))
         lam = gen.uniform(160.0, 500.0, size=n)
         center = uniform_distribution(n)
-        g = SimplexGaussian(center, np.diag(lam))
-        closed = simplex_gaussian_integral(g)
+        closed = simplex_gaussian_integral(center, np.diag(lam))
 
         def f(pts, lam=lam, c=center.probs):
             return np.exp(-np.sum(lam[None, :] * (pts - c[None, :]) ** 2, axis=1))
@@ -111,7 +109,7 @@ def test_gaussian_matrix_form_matches_diagonal():
     lam = np.array([150.0, 90.0, 220.0])
     center = uniform_distribution(3)
     a = parallel_resistance_gaussian(lam)
-    b = simplex_gaussian_integral(SimplexGaussian(center, np.diag(lam)))
+    b = simplex_gaussian_integral(center, np.diag(lam))
     assert b == pytest.approx(a, rel=1e-12)
     # diagonal case of the grand-sum formula is the parallel combination
     assert np.linalg.det(np.diag(lam)) * np.sum(1 / lam) == pytest.approx(
@@ -127,8 +125,43 @@ def test_gaussian_diagonal_is_parallel_resistance(case):
     1/(2N) >= 3/sqrt(2e3), clear of the boundary guard)."""
     lam, weights = map(np.array, case)
     center = Distribution(weights / weights.sum())
-    got = simplex_gaussian_integral(SimplexGaussian(center, np.diag(lam)))
+    got = simplex_gaussian_integral(center, np.diag(lam))
     assert got == pytest.approx(parallel_resistance_gaussian(lam), rel=1e-12)
+
+
+@given(st.integers(2, 4).flatmap(lambda N: st.tuples(
+    st.floats(200.0, 5e3), st.lists(st.floats(1.0, 2.0), min_size=N, max_size=N))))
+def test_claims_quadrature_is_parallel_resistance(case):
+    """The claims battery's Riemann sum over DP reproduces the diagonal
+    closed form at a uniform peak, every lam_x in [200, 1e4].  The curvatures
+    lie within a factor 2 of each other, so one grid resolves every axis: it
+    reaches 6/sqrt(lam_min) from the peak (or the simplex's edge) with a
+    spacing below 0.4/sqrt(lam_max).  What remains is the Gaussian mass
+    outside the simplex, about 4e-8 of the value at N = 4, lam = 200."""
+    scale, ratios = case
+    lam = scale * np.array(ratios)
+    N = lam.size
+    quad = _gaussian_quadrature(np.diag(lam), np.full((1, N), 1.0 / N),
+                                min(1.0 / N, 6.0 / math.sqrt(lam.min())), 45)
+    assert quad == pytest.approx(parallel_resistance_gaussian(lam), rel=1e-6)
+
+
+def test_claims_quadrature_of_a_block_diagonal_stack_is_the_block_product():
+    """On a block-diagonal A the stacked grid is the product of the blocks'
+    grids, so the sum over two conditional rows is the product of the two
+    one-row sums; both agree with the closed forms."""
+    gen = np.random.default_rng(16)
+    blocks = [B @ B.T + 400 * np.eye(2) for B in gen.normal(size=(2, 2, 2))]
+    A = np.zeros((4, 4))
+    A[:2, :2], A[2:, 2:] = blocks
+    center = np.array([[0.45, 0.55], [0.6, 0.4]])
+    stacked = _gaussian_quadrature(A, center, 0.3, 121)
+    parts = [_gaussian_quadrature(blk, row[None, :], 0.3, 121) for blk, row in zip(blocks, center)]
+    assert stacked == pytest.approx(parts[0] * parts[1], rel=1e-12)
+    closed = [simplex_gaussian_integral(Distribution(row), blk) for blk, row in zip(blocks, center)]
+    assert parts == pytest.approx(closed, rel=1e-12)
+    assert stacked == pytest.approx(
+        conditional_simplex_gaussian_integral(A, 2, 2, center_rows=center), rel=1e-12)
 
 
 def test_gaussian_matrix_form_vs_quadrature_offdiagonal():
@@ -136,7 +169,7 @@ def test_gaussian_matrix_form_vs_quadrature_offdiagonal():
     its trace) must appear in the closed form; quadrature decides."""
     A = np.array([[300.0, 80.0], [80.0, 240.0]])
     center = uniform_distribution(2)
-    closed = simplex_gaussian_integral(SimplexGaussian(center, matrix=A))
+    closed = simplex_gaussian_integral(center, A)
     t = np.linspace(-0.5, 0.5, 400_001)
     q = A[0, 0] - 2 * A[0, 1] + A[1, 1]  # form along (u, -u)
     quad = float(np.trapezoid(np.exp(-q * t**2), t))
@@ -147,16 +180,13 @@ def test_gaussian_matrix_form_vs_quadrature_offdiagonal():
 
 def test_gaussian_guards():
     with pytest.raises(LambdaTooSmall):
-        simplex_gaussian_integral(
-            SimplexGaussian(uniform_distribution(2), np.diag([5.0, 50.0])))
+        simplex_gaussian_integral(uniform_distribution(2), np.diag([5.0, 50.0]))
     with pytest.raises(PeakNearBoundary):
-        simplex_gaussian_integral(
-            SimplexGaussian(Distribution(np.array([0.02, 0.98])),
-                            np.diag([100.0, 100.0])))
+        simplex_gaussian_integral(Distribution(np.array([0.02, 0.98])),
+                                  np.diag([100.0, 100.0]))
     with pytest.raises(SingularMatrix):
-        simplex_gaussian_integral(
-            SimplexGaussian(uniform_distribution(2),
-                            matrix=np.array([[100.0, 0.0], [0.0, -5.0]])))
+        simplex_gaussian_integral(uniform_distribution(2),
+                                  np.array([[100.0, 0.0], [0.0, -5.0]]))
 
 
 # --- conditional Gaussian -----------------------------------------------------------
@@ -187,8 +217,7 @@ def test_conditional_gaussian_block_diagonal_product():
         B = gen.normal(size=(2, 2))
         blk = B @ B.T + 200 * np.eye(2)
         blocks.append(blk)
-        vals.append(simplex_gaussian_integral(
-            SimplexGaussian(uniform_distribution(2), matrix=blk)))
+        vals.append(simplex_gaussian_integral(uniform_distribution(2), blk))
     A = np.zeros((4, 4))
     A[:2, :2], A[2:, 2:] = blocks
     cond = conditional_simplex_gaussian_integral(A, 2, 2, center_rows=np.full((2, 2), 0.5))

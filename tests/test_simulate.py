@@ -1044,6 +1044,17 @@ def test_rd_nan_distortion_rejected():
         rate_distortion(uniform_distribution(2), d, 0.1)
 
 
+@pytest.mark.parametrize("method", ["materialize", "conditional"])
+def test_rd_infinite_distortion_rejected(method):
+    """An infinite distortion entry is rejected up front on both paths: the
+    conditional path would otherwise sum 0 * inf = NaN into every companion
+    score and report 0 successes where the literal protocol succeeds."""
+    d = np.array([[0.0, np.inf], [1.0, 0.0]])
+    with pytest.raises(InfeasibleDistortion, match="finite"):
+        simulate_rate_distortion(uniform_distribution(2), binary_symmetric_channel(0.1), d,
+                                 0.1, 0.4, 20, 300, RngStream(1), method=method)
+
+
 def test_nan_rate_and_distortion_rejected():
     """A NaN rate or distortion budget raises the error an out-of-range
     one raises, instead of a float-to-int error or a report of 0 successes."""
