@@ -72,7 +72,7 @@ def _number(kind, ok, what):
 
 
 _real = _number(float, math.isfinite, "a finite number")
-_positive = _number(float, lambda x: x > 0, "a positive number")
+_positive = _number(float, lambda x: 0 < x < math.inf, "a finite positive number")
 _natural = _number(int, lambda x: x >= 0, "an integer >= 0")
 _blocklength = _number(int, lambda x: 1 <= x < 2**63, "an integer in [1, 2**63)")
 # The smoothed delta is centred on the balanced binary type (n/2, n/2), whose
@@ -131,7 +131,8 @@ PARAMETERS = {
     "channel-coding": _SWEEP | {"channel": _of(Channel), "input": _of(Distribution),
                                 "decoder": _choice("threshold", "ml")},
     "rate-distortion": _SWEEP | {"source": _of(Distribution), "d": _array,
-                                 "D": _number(float, lambda x: x >= 0, "a number >= 0")},
+                                 "D": _number(float, lambda x: 0 <= x < math.inf,
+                                              "a finite number >= 0")},
 }
 _REQUIRED = {"channel", "source", "d", "D", "D_grid", "n_grid", "rate_grid"}
 

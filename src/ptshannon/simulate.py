@@ -18,13 +18,16 @@ distribution.  ``method="auto"`` takes the conditional path unless its
 largest score lattice is over ``LATTICE_GUARD`` while the literal run fits
 ``OPS_GUARD``.
 
-The literal paths draw every symbol (codewords, source block and channel
-outputs) with :func:`_draw`, as ``Generator.choice`` would, from the same
-uniforms compared with the same normalized cumulative sums, so no draw
-lands outside its alphabet or on a zero-mass symbol.  They score a whole
-codebook with one flat ``take`` and a plain row sum
-(:func:`_literal_scores`): a score table holds no +inf or NaN, so no term
-needs masking.
+The literal paths draw every symbol as ``Generator.choice`` would, from
+uniforms compared with normalized cumulative sums (:func:`_symbols`), so no
+draw lands outside its alphabet or on a zero-mass symbol.  A codebook stays
+the uniforms of one reused (N_m, n) buffer (:class:`_Codebook`): a word's
+likelihood depends on the block only through how often it lands on each
+atom of :class:`_ScoreLaw`, so each trial counts those with one
+compare-and-count pass over the buffer and scores every word from its
+counts, elementwise in atom order (:meth:`_Codebook.sums`).  Words with
+equal counts get the same float, so the ML decoder meets every exact tie
+and breaks it by a uniform draw.
 
 Both conditional paths use one score law, :class:`_ScoreLaw`: a rival
 codeword's score (and, for rate-distortion, its distortion) is a sum of
@@ -112,18 +115,24 @@ def _cdf(p: np.ndarray) -> np.ndarray:
     return cdf[..., :-1]
 
 
-def _draw(gen: np.random.Generator, cdf: np.ndarray, shape) -> np.ndarray:
-    """Symbols of the law with thresholds ``cdf`` (from :func:`_cdf`), the
-    same draws as ``Generator.choice`` with that law: each symbol counts the
-    thresholds at or below its uniform, which is what choice's
-    ``searchsorted(side="right")`` returns, and the stream advances by the
-    same ``gen.random(shape)``.  Each threshold may also be an array, one
-    per symbol drawn."""
-    u = gen.random(shape)
+def _symbols(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """The symbol each uniform draws under the law with thresholds ``cdf``
+    (from :func:`_cdf`): the count of thresholds at or below it, which is
+    what ``Generator.choice``'s ``searchsorted(side="right")`` returns.  Each
+    threshold may also be an array, one per uniform."""
     words = np.zeros(u.shape, dtype=np.int64)
     for c in cdf:
         words += u >= c
     return words
+
+
+def _draw(gen: np.random.Generator, cdf: np.ndarray, shape) -> np.ndarray:
+    """A block of symbols of the law with thresholds ``cdf``, the same draws
+    as ``Generator.choice`` with that law, the stream advanced by the same
+    ``gen.random(shape)``.  The literal paths draw their source blocks and
+    channel outputs here, so no draw lands outside its alphabet or on a
+    zero-mass symbol; their codebooks stay uniforms (:class:`_Codebook`)."""
+    return _symbols(gen.random(shape), cdf)
 
 
 def _type_trials(trials: int, rng: RngStream, draw_types, p_new) -> TrialReport:
@@ -140,8 +149,7 @@ def _type_trials(trials: int, rng: RngStream, draw_types, p_new) -> TrialReport:
     """
     memo: dict[tuple, float] = {}
     successes = 0
-    for b in range(-(-trials // TRIAL_BLOCK)):
-        gen = rng.substream(b).generator()
+    for b, gen in enumerate(rng.substream_generators(-(-trials // TRIAL_BLOCK))):
         types = draw_types(gen, TRIAL_BLOCK).reshape(TRIAL_BLOCK, -1)
         u = gen.random(TRIAL_BLOCK)
         take = min(TRIAL_BLOCK, trials - b * TRIAL_BLOCK)
@@ -325,14 +333,74 @@ def _largest_lattice(law: _ScoreLaw, n: int) -> int:
     return math.prod(count_types(k, m) for k, m in zip(sizes, taken))
 
 
-def _literal_scores(g: np.ndarray, words: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """Score of each literal codeword (a row of ``words``) against the block:
-    the sum of g[word_j, block_j], gathered by one flat take.  No term is
-    masked: g holds no +inf or NaN (ln W <= 0 for a channel; for
-    rate-distortion a finite number minus ln q_hat, with q_hat > 0 checked),
-    so the plain sum is -inf exactly where one term is and bit-identical to
-    a masked sum elsewhere."""
-    return g.take(words * g.shape[1] + block).sum(axis=1)
+class _Codebook:
+    """A literal codebook: N_m words of length n drawn i.i.d. from the law
+    with thresholds ``cdf``, kept as the uniforms of one (N_m, n) buffer
+    reused across trials, and scored against a block through ``law``'s atoms.
+
+    A word's score (and companion) depends on the block only through how
+    often the word lands on each atom (the method of types), so every word's
+    atom counts are found in one compare-and-count pass over the uniforms:
+    with the cell -> atom one-hot table O[a, b] (atoms of all groups in
+    order), word symbol a is 0 plus the number of thresholds at or below its
+    uniform, so O[word_j, b] = O[0, b] + sum_a [u_j >= cdf[a]] (O[a+1, b] -
+    O[a, b]), and summed over positions the counts of all words (a column
+    per word) are
+
+        O[0]^T bincount(block) + sum_a (O[a+1] - O[a])[block]^T [u >= cdf[a]]^T,
+
+    one comparison into a reused float buffer and one product per threshold,
+    exact small integers as floats.  A zero-mass symbol's thresholds are
+    equal, so its one-hot rows cancel."""
+
+    def __init__(self, law: _ScoreLaw, cdf: np.ndarray, n_m: int, n: int):
+        self.cdf = cdf
+        self.u = np.empty((n_m, n))
+        self._below = np.empty((n_m, n))  # [u >= cdf[a]], as floats
+        offset = np.cumsum([0] + [atoms[0].size for atoms in law.atoms[:-1]])
+        onehot = np.eye(offset[-1] + law.atoms[-1][0].size)[offset[law.group] + law.atom]
+        # atom-major, so a word's counts are a column: (atoms, block symbols)
+        self._cell0 = onehot[0].T
+        self._steps = np.diff(onehot, axis=0).transpose(0, 2, 1).copy()
+        # the score, and the companion if any, per atom of all groups in
+        # order: a column with -inf as 0.0, and the atoms of value -inf
+        self._terms = [(np.where(values > -np.inf, values, 0.0)[:, None],
+                        np.flatnonzero(values == -np.inf))
+                       for values in map(np.concatenate,
+                                         zip(*(atoms[:1] + atoms[2:] for atoms in law.atoms)))]
+
+    def draw(self, gen: np.random.Generator) -> None:
+        """Fill the buffer: the same stream as ``gen.random((N_m, n))``."""
+        gen.random(out=self.u)
+
+    def word(self, m: int) -> np.ndarray:
+        return _symbols(self.u[m], self.cdf)
+
+    def counts(self, block: np.ndarray) -> np.ndarray:
+        """(atoms, N_m) counts of every word against the block."""
+        base = self._cell0 @ np.bincount(block, minlength=self._cell0.shape[1])
+        counts = base[:, None].repeat(self.u.shape[0], axis=1)
+        for c, step in zip(self.cdf, self._steps[:, :, block]):
+            np.greater_equal(self.u, c, out=self._below)
+            counts += step @ self._below.T
+        return counts
+
+    def sums(self, block: np.ndarray) -> list:
+        """Every word's score against the block, and its companion if the
+        law has one: sum_k count_k * value_k per word.  The atom axis is the
+        outer one, so numpy adds the atoms' terms in order, elementwise over
+        the words: every word's sum is the same sequence of float additions,
+        and words with equal counts get bit-identical sums (a sum along a
+        word's own row, or a BLAS dot, need not be).  -inf wherever an atom
+        of value -inf has a count; an atom with no count adds nothing."""
+        counts = self.counts(block)
+        sums = []
+        for column, dead in self._terms:
+            total = np.add.reduce(counts * column, axis=0)
+            if dead.size:
+                total[counts[dead].any(axis=0)] = -np.inf
+            sums.append(total)
+        return sums
 
 
 def _log_pow_one_minus(log_eps, log_m) -> np.ndarray:
@@ -382,7 +450,7 @@ def simulate_channel_coding(channel: Channel, input_dist: Distribution, rate: fl
     with np.errstate(divide="ignore"):
         law = _ScoreLaw(np.log(channel.rows), np.log(input_dist.probs))
     if _resolve_method(method, log_m, n, trials, law) == "materialize":
-        return _channel_materialized(channel, input_dist, rate, n, trials,
+        return _channel_materialized(channel, input_dist, law, rate, n, trials,
                                      decoder, rng, codebook_size(rate, n))
     return _channel_conditional(channel, input_dist, law, rate, n, trials, decoder, rng, log_m)
 
@@ -412,20 +480,21 @@ def _resolve_method(method: str, log_m: float, n: int, trials: int, law: _ScoreL
     return method
 
 
-def _channel_materialized(channel, input_dist, rate, n, trials, decoder, rng, n_m) -> TrialReport:
-    rows = channel.rows
-    p_in = input_dist.probs
+def _channel_materialized(channel, input_dist, law, rate, n, trials, decoder, rng,
+                          n_m) -> TrialReport:
+    """Trial i draws from substream i, in this order: the codebook's
+    uniforms, the sent index, the channel outputs and, for an ML tie, one
+    tie-break uniform."""
     with np.errstate(divide="ignore"):
-        log_rows = np.log(rows)
-        log_p_out = np.log(p_in @ rows)
-    cdf_rows, cdf_in = _cdf(rows), _cdf(p_in)
+        log_p_out = np.log(input_dist.probs @ channel.rows)
+    cdf_rows = _cdf(channel.rows)
+    book = _Codebook(law, _cdf(input_dist.probs), n_m, n)
     successes = 0
-    for i in range(trials):
-        gen = rng.substream(i).generator()
-        words = _draw(gen, cdf_in, (n_m, n))
+    for gen in rng.substream_generators(trials):
+        book.draw(gen)
         m = int(gen.integers(n_m))
-        y = _draw(gen, cdf_rows[words[m]].T, n)
-        scores = _literal_scores(log_rows, words, y)
+        y = _draw(gen, cdf_rows[book.word(m)].T, n)
+        scores, = book.sums(y)
         s_true = scores[m]
         scores[m] = -np.inf  # the rivals' best is the maximum of the rest
         top = scores.max()
@@ -598,20 +667,21 @@ def simulate_rate_distortion(source: Distribution, test_channel: Channel, d, D: 
 
     law = _ScoreLaw(g, np.log(q_hat), d.T)
     if _resolve_method(method, log_m, n, trials, law) == "materialize":
-        return _rd_materialized(source, q_hat, g, d, budget, margin, n, trials, rng,
+        return _rd_materialized(source, q_hat, law, budget, margin, n, trials, rng,
                                 codebook_size(rate, n))
     return _rd_conditional(source, law, budget, margin, n, trials, rng, log_m)
 
 
-def _rd_materialized(source, q_hat, g, d, budget, margin, n, trials, rng, n_m) -> TrialReport:
-    cdf_source, cdf_hat = _cdf(source.probs), _cdf(q_hat)
+def _rd_materialized(source, q_hat, law, budget, margin, n, trials, rng, n_m) -> TrialReport:
+    """Trial i draws the source block and then the codebook's uniforms from
+    substream i; a word's score and distortion come from the same counts."""
+    cdf_source = _cdf(source.probs)
+    book = _Codebook(law, _cdf(q_hat), n_m, n)
     successes = 0
-    for i in range(trials):
-        gen = rng.substream(i).generator()
+    for gen in rng.substream_generators(trials):
         x = _draw(gen, cdf_source, n)
-        words = _draw(gen, cdf_hat, (n_m, n))
-        scores = _literal_scores(g, words, x)
-        dists = _literal_scores(d.T, words, x)  # the sum of d[x_j, word_j]
+        book.draw(gen)
+        scores, dists = book.sums(x)
         meets = dists <= budget
         successes += bool(scores[meets].max(initial=-np.inf)
                           > scores[~meets].max(initial=-np.inf) - margin)

@@ -153,3 +153,23 @@ def test_rng_stream_substreams_differ_and_reproduce():
     assert np.array_equal(a.generator().random(8), base.substream(0).generator().random(8))
     assert not np.array_equal(a.generator().random(8), b.generator().random(8))
 
+
+
+def _trial_draws(gen: np.random.Generator, i: int) -> tuple:
+    """A literal trial's draws (a codebook's uniforms, a sent index, a
+    tie-break uniform) and an odd number of 32-bit draws, which leave half a
+    64-bit word buffered."""
+    return (gen.random((i % 5 + 1, 3)), gen.integers(1000 + i), gen.random(),
+            gen.integers(2**20, size=2 * (i % 3) + 1, dtype=np.int32))
+
+
+def test_substream_generators_replay_each_substream():
+    """Walking substreams 0..63 with one re-keyed Philox draws what a fresh
+    generator per substream draws, so no state carries over from one
+    substream to the next."""
+    base = RngStream(2**63 + 5, 7)
+    assert sum(1 for _ in base.substream_generators(64)) == 64
+    for i, gen in enumerate(base.substream_generators(64)):
+        want = _trial_draws(base.substream(i).generator(), i)
+        got = _trial_draws(gen, i)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)), i

@@ -281,6 +281,9 @@ MALFORMED = [
     ("rate-distortion", "d", [[0, math.inf], [1, 0]]),
     ("rd-curve", "d", [[0, 1], [-math.inf, 0]]),
     ("rd-curve", "D_grid", [math.inf]),
+    ("channel-coding", "rate_grid", [math.inf]),
+    ("capacity", "tol", math.inf),
+    ("rate-distortion", "D", math.inf),
 ]
 
 

@@ -39,15 +39,16 @@ from ptshannon.simulate import (
     LATTICE_GUARD,
     TRIAL_BLOCK,
     _cdf,
+    _Codebook,
     _draw,
     _largest_lattice,
-    _literal_scores,
     _log_mass,
     _log_pow_one_minus,
     _rd_fail_probability,
     _resolve_method,
     _ScoreLaw,
     _sorted_tail,
+    _symbols,
     _win_probability,
 )
 from ptshannon.type_classes import _masked_dot, count_types, type_array
@@ -166,21 +167,51 @@ def _masked_scores(g: np.ndarray, words: np.ndarray, block: np.ndarray) -> np.nd
                     np.where(np.isfinite(picked), picked, 0.0).sum(axis=1))
 
 
+def _codebook_scores(rows, p_in, u: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """The literal channel scores of the words the uniforms ``u`` draw from
+    ``p_in``, against the block."""
+    with np.errstate(divide="ignore"):
+        law = _ScoreLaw(np.log(rows), np.log(p_in))
+    book = _Codebook(law, _cdf(p_in), *u.shape)
+    book.u[:] = u
+    return book.sums(block)[0]
+
+
 @pytest.mark.parametrize("rows", [Z_ROWS, BEC_ROWS], ids=["z", "bec"])
 def test_literal_scores_equal_masked_sum(rows):
-    """The flat take-and-sum equals the masked reference bit for bit on
-    channels whose ln W holds -inf.  The block is the channel's output for
-    the first word, so that word scores finite, and most rivals -inf."""
+    """The atom-count scores are -inf exactly where the masked reference is
+    and agree with it elsewhere, on channels whose ln W holds -inf.  The
+    block is the channel's output for the first word, so that word scores
+    finite, and most rivals -inf."""
     rows = np.array(rows)
     with np.errstate(divide="ignore"):
         g = np.log(rows)
+    k = rows.shape[0]
     gen = RngStream(3).generator()
     for n in (1, 5, 17):
-        words = gen.integers(rows.shape[0], size=(300, n))
+        words = gen.integers(k, size=(300, n))
         block = np.array([gen.choice(rows.shape[1], p=rows[x]) for x in words[0]])
         want = _masked_scores(g, words, block)
-        assert np.array_equal(_literal_scores(g, words, block), want)
-        assert np.isfinite(want[0]) and np.isneginf(want).any(), n
+        u = (words + 0.5) / k  # the uniforms that draw these words from a uniform input
+        assert np.array_equal(_symbols(u, _cdf(np.full(k, 1 / k))), words)
+        got = _codebook_scores(rows, np.full(k, 1 / k), u, block)
+        assert np.array_equal(np.isneginf(got), np.isneginf(want))
+        finite = np.isfinite(want)
+        assert got[finite] == pytest.approx(want[finite], rel=1e-12, abs=0)
+        assert finite[0] and not finite.all(), n
+
+
+def test_literal_scores_of_equally_likely_words_tie_exactly():
+    """On BSC(0.11) with y = 0^24, the words with ones at {0, 1} and at
+    {22, 23} are equally likely.  Summed in position order their scores
+    differ in the last bit (-6.978293784010376 against -6.978293784010375),
+    which would break an ML tie by rounding; from atom counts they are the
+    same float."""
+    n = 24
+    u = np.full((2, n), 0.25)  # symbol 0 below the threshold 0.5, 1 above
+    u[0, [0, 1]] = u[1, [22, 23]] = 0.75
+    a, b = _codebook_scores(np.array(BSC_11), np.array([0.5, 0.5]), u, np.zeros(n, np.int64))
+    assert a == b == pytest.approx(2 * math.log(0.11) + 22 * math.log(0.89), rel=1e-15)
 
 
 def test_literal_z_channel_matches_exact_oracle():
@@ -585,10 +616,11 @@ def test_each_type_computed_once_per_run(monkeypatch):
 BSC_11 = [[0.89, 0.11], [0.11, 0.89]]
 CHANNEL_3X3 = [[0.73, 0.17, 0.10], [0.13, 0.79, 0.08], [0.29, 0.23, 0.48]]
 # (channel rows, input, rate, n) -> successes (threshold, ml) at seeds 1..5,
-# 200 trials each
+# 200 trials each.  BSC ML decodes many exact ties (words at the sent word's
+# Hamming distance), each broken by a uniform draw.
 PINNED_LITERAL_CHANNEL_RUNS = [
     (BSC_11, [0.5, 0.5], 0.30, 24,
-     ([123, 124, 111, 127, 119], [155, 161, 159, 160, 161])),
+     ([123, 124, 111, 127, 119], [155, 161, 158, 159, 160])),
     (CHANNEL_3X3, [0.6, 0.3, 0.1], 0.25, 20,
      ([79, 72, 68, 83, 71], [138, 118, 117, 132, 124])),
 ]
@@ -613,6 +645,45 @@ def test_literal_rd_counts_pinned():
                                     hamming_distortion(2), 0.1, 0.4, 20, 100, RngStream(seed),
                                     method="materialize").successes for seed in range(1, 6)]
     assert got == [47, 46, 52, 46, 47]
+
+
+def test_literal_one_symbol_codebook_ties_every_word():
+    """With one input symbol every word is the same, so ML ties all N_m of
+    them and wins with probability 1/N_m; the codebook has no threshold to
+    compare, and every word's counts are the block's."""
+    n, rate, trials = 10, 0.3, 2000
+    rep = simulate_channel_coding(Channel(np.array([[0.3, 0.7]])), uniform_distribution(1),
+                                  rate, n, trials, "ml", RngStream(4), method="materialize")
+    p = 1 / codebook_size(rate, n)
+    assert abs(rep.p_hat - p) <= 4 * math.sqrt(p * (1 - p) / trials)
+
+
+@pytest.mark.parametrize("protocol", ["channel", "rd"])
+def test_literal_peak_memory_is_two_codebook_buffers(protocol):
+    """A literal run holds the codebook's (N_m, n) uniforms and one
+    comparison buffer of the same size, reused across trials; its traced
+    peak stays under three such buffers, so no per-trial temporary of the
+    codebook's size (a word array, gathered scores) comes back."""
+    if protocol == "channel":
+        n, rate = 24, 0.3
+
+        def run():
+            simulate_channel_coding(binary_symmetric_channel(0.11), _U2, rate, n, 5, "ml",
+                                    RngStream(1), method="materialize")
+    else:
+        n, rate = 20, 0.4
+
+        def run():
+            simulate_rate_distortion(_U2, _BSC, hamming_distortion(2), 0.1, rate, n, 5,
+                                     RngStream(1), method="materialize")
+    run()  # imports and caches outside the traced run
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * codebook_size(rate, n) * n * 8
 
 
 @given(small_channel_runs())
@@ -1120,7 +1191,10 @@ def test_unknown_method_rejected_before_any_work(kind, monkeypatch):
 class _TopUniforms:
     """Generator stub: every uniform is 1 - 2.5e-13, and the sent index is 0."""
 
-    def random(self, shape=None):
+    def random(self, shape=None, out=None):
+        if out is not None:
+            out[...] = 1 - 2.5e-13
+            return out
         return 1 - 2.5e-13 if shape is None else np.full(shape, 1 - 2.5e-13)
 
     def integers(self, high):
@@ -1133,13 +1207,15 @@ def test_literal_output_draw_stays_in_the_alphabet(monkeypatch):
     thresholds are normalized by its own total, as for every literal draw."""
     rows = np.array([[0.3, 0.7 - 5e-13], [0.7 - 5e-13, 0.3]])
     blocks = []
+    sums = _Codebook.sums
 
-    def spy(g, words, block):
+    def spy(self, block):
         blocks.append(block)
-        return _literal_scores(g, words, block)
+        return sums(self, block)
 
-    monkeypatch.setattr(RngStream, "generator", lambda self: _TopUniforms())
-    monkeypatch.setattr(simulate, "_literal_scores", spy)
+    monkeypatch.setattr(RngStream, "substream_generators",
+                        lambda self, count: (_TopUniforms() for _ in range(count)))
+    monkeypatch.setattr(_Codebook, "sums", spy)
     simulate_channel_coding(Channel(rows), _U2, 0.3, 10, 3, "ml", RngStream(1),
                             method="materialize")
     assert len(blocks) == 3
