@@ -19,6 +19,10 @@ error):
 The first four kinds run under the subcommand of the same name, the last
 three under ``sweep``.  ``--bits`` (rates in bits instead of nats) applies
 to capacity, rd-curve and sweep.
+A sweep row's ``predictor_value`` is a large-n prediction: source-coding,
+the 0/1 step at H; channel-coding, the threshold decoder's 1/2 erfc for
+either decoder, so not an ML prediction; rate-distortion, the 0/1 step at
+R(D), 1 at D >= D_max, where source (1/2, 1/2) at D = 0.6 succeeds ~0.81.
 Outputs start with a comment line recording the config hash and seed, so a
 run is fully reproducible from its config file; repeated runs are
 byte-identical.  Exit codes: 0 all checks pass, 1 a check failed, 2 config

@@ -96,10 +96,6 @@ class CodebookTooLarge(PtShannonError):
     """Simulation cost exceeds the run guard."""
 
 
-class DegenerateMarginal(PtShannonError):
-    """Reproduction marginal of the test channel has a zero entry."""
-
-
 # --- CLI --------------------------------------------------------------------
 class ConfigInvalid(PtShannonError):
     """Experiment configuration failed schema validation."""

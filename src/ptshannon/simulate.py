@@ -70,7 +70,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cmp_to_key
 
 import numpy as np
 
@@ -81,7 +80,7 @@ from .coding import (
     codebook_size,
     log_codebook_size,
 )
-from .errors import CodebookTooLarge, DegenerateMarginal, DimensionMismatch, InvalidParameter
+from .errors import CodebookTooLarge, DimensionMismatch, InvalidParameter
 from .info_measures import _validate_distortion_matrix
 from .type_classes import _masked_dot, count_types, log_multinomial, type_array
 
@@ -320,15 +319,15 @@ def _largest_lattice(law: _ScoreLaw, n: int) -> int:
     product.  With K = sum_j (k_j - 1), the steps with
     (k_j - 1)/(m_j + 1) >= K/n are floor(n (k_j - 1)/K) per group; the
     fewer than one per group left go one at a time to the largest next
-    step.  A one-atom group is a factor of 1 and takes no step."""
+    step.  A one-atom group is a factor of 1 and takes no step.  Distinct
+    ratios a/b, c/d differ by 1/(bd), over an ulp at any n the guards allow."""
     sizes = [atoms[0].size for atoms in law.atoms if atoms[0].size > 1]
     if not sizes:
         return 1
     total = sum(sizes) - len(sizes)
     taken = [n * (k - 1) // total for k in sizes]
     for _ in range(n - sum(taken)):
-        j = max(range(len(sizes)), key=cmp_to_key(
-            lambda a, b: (sizes[a] - 1) * (taken[b] + 1) - (sizes[b] - 1) * (taken[a] + 1)))
+        j = max(range(len(sizes)), key=lambda j: (sizes[j] - 1) / (taken[j] + 1))
         taken[j] += 1
     return math.prod(count_types(k, m) for k, m in zip(sizes, taken))
 
@@ -438,15 +437,7 @@ def simulate_channel_coding(channel: Channel, input_dist: Distribution, rate: fl
     """
     if decoder not in ("threshold", "ml"):
         raise InvalidParameter("decoder must be 'threshold' or 'ml'")
-    _check_method(method)
-    if trials < 1:
-        raise InvalidParameter("trials must be >= 1")
-    if channel.input_size != input_dist.alphabet_size:
-        raise DimensionMismatch("input distribution does not match the channel")
-    log_m = log_codebook_size(rate, n)
-    if log_m < _LN2:
-        raise InvalidParameter("codebook needs at least 2 rows; raise rate or n")
-
+    log_m = _front_door(method, trials, channel, input_dist, rate, n)
     with np.errstate(divide="ignore"):
         law = _ScoreLaw(np.log(channel.rows), np.log(input_dist.probs))
     if _resolve_method(method, log_m, n, trials, law) == "materialize":
@@ -455,14 +446,27 @@ def simulate_channel_coding(channel: Channel, input_dist: Distribution, rate: fl
     return _channel_conditional(channel, input_dist, law, rate, n, trials, decoder, rng, log_m)
 
 
-def _check_method(method: str) -> None:
+def _front_door(method: str, trials: int, channel: Channel, fed: Distribution,
+                rate: float, n: int, d=None) -> float:
+    """ln N_m, after the checks both codebook simulators make before any
+    work, in order: method, trials, shapes (``fed`` is the law on the
+    channel's inputs, ``d`` inputs x outputs) and at least 2 rows."""
     if method not in ("auto", "materialize", "conditional"):
         raise InvalidParameter("method must be 'auto', 'materialize', or 'conditional'")
+    if trials < 1:
+        raise InvalidParameter("trials must be >= 1")
+    if channel.input_size != fed.alphabet_size or (
+            d is not None and np.shape(d) != channel.rows.shape):
+        raise DimensionMismatch("the law fed to the channel, or d, does not match its shape")
+    log_m = log_codebook_size(rate, n)
+    if log_m < _LN2:
+        raise InvalidParameter("codebook needs at least 2 rows; raise rate or n")
+    return log_m
 
 
 def _resolve_method(method: str, log_m: float, n: int, trials: int, law: _ScoreLaw) -> str:
     """``materialize`` or ``conditional``, for a method that passed
-    :func:`_check_method`.  A materialized run costs N_m*n*trials
+    :func:`_front_door`.  A materialized run costs N_m*n*trials
     operations; that count is compared with the guard in log space, so N_m
     need not exist as a number.  ``auto`` takes the exact conditional path
     unless its largest lattice is over ``LATTICE_GUARD`` while the literal
@@ -643,29 +647,24 @@ def simulate_rate_distortion(source: Distribution, test_channel: Channel, d, D: 
     reproduction marginal of source * test_channel.  The trial succeeds iff
     some codeword passes the pairwise score margins at the given rate and its
     average distortion against the block is at most D.
+
+    A reproduction symbol of no mass is never drawn, so the rate-zero test
+    channel of D >= D_max, one reproduction for all, takes the general path.
     """
-    _check_method(method)
-    if trials < 1:
-        raise InvalidParameter("trials must be >= 1")
+    log_m = _front_door(method, trials, test_channel, source, rate, n, d)
     d = _validate_distortion_matrix(source, d)
     if not D >= 0:
         raise InvalidParameter("D must be non-negative")
-    if test_channel.input_size != source.alphabet_size:
-        raise DimensionMismatch("test channel does not match the source")
     q_hat = source.probs @ test_channel.rows
-    if np.any(q_hat <= 0):
-        raise DegenerateMarginal("reproduction marginal has a zero entry")
     with np.errstate(divide="ignore"):
-        # score of reproduction symbol x_hat against source symbol x; the
-        # common source-block terms cancel in pairwise comparisons
-        g = np.log(source.probs[:, None] * test_channel.rows).T - np.log(q_hat)[:, None]
-    log_m = log_codebook_size(rate, n)
-    if log_m < _LN2:
-        raise InvalidParameter("codebook needs at least 2 rows; raise rate or n")
+        log_q = np.log(q_hat)
+        # score of reproduction symbol x_hat against source symbol x; the common
+        # source-block terms cancel pairwise.  A symbol of no mass keeps -inf, not nan
+        g = np.log(source.probs[:, None] * test_channel.rows).T
+    g[log_q > -np.inf] -= log_q[log_q > -np.inf, None]
     budget = n * D + 1e-9 * max(1.0, n * D)
     margin = n * rate
-
-    law = _ScoreLaw(g, np.log(q_hat), d.T)
+    law = _ScoreLaw(g, log_q, d.T)
     if _resolve_method(method, log_m, n, trials, law) == "materialize":
         return _rd_materialized(source, q_hat, law, budget, margin, n, trials, rng,
                                 codebook_size(rate, n))

@@ -204,6 +204,24 @@ def test_rate_distortion_sweep(tmp_path):
     assert [float(r[5]) for r in rows] == [0.0, 1.0]  # threshold step predictor
 
 
+def test_rate_distortion_sweep_at_rate_zero(tmp_path):
+    """At D >= D_max = 1/2, R(D) = 0 and the test channel sends every source
+    symbol to one reproduction: the sweep runs, one row per grid point, and
+    each row's step predictor reads 1."""
+    out = tmp_path / "rd.csv"
+    cfg = write_config(tmp_path / "c.json",
+                       {"kind": "rate-distortion",
+                        "parameters": {"source": [0.5, 0.5], "d": [[0, 1], [1, 0]],
+                                       "D": 0.6, "n_grid": [10, 21],
+                                       "rate_grid": [0.3, 0.5], "trials": 200},
+                        "output_path": str(out), "seed": 1})
+    assert main(["sweep", "--config", cfg]) == 0
+    rows = [l.split(",") for l in out.read_text().splitlines()[2:]]
+    assert [(r[0], r[1]) for r in rows] == [("10", "0.3"), ("10", "0.5"), ("21", "0.3"),
+                                            ("21", "0.5")]
+    assert all(0 < float(r[3]) < 1 and float(r[5]) == 1.0 for r in rows)
+
+
 def test_claims_run_passes_and_reports_info(tmp_path):
     out = tmp_path / "claims.csv"
     cfg = write_config(tmp_path / "c.json",

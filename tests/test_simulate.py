@@ -30,7 +30,6 @@ from ptshannon import (
 from ptshannon import simulate
 from ptshannon.errors import (
     CodebookTooLarge,
-    DegenerateMarginal,
     InfeasibleDistortion,
     InvalidParameter,
     PtShannonError,
@@ -1139,12 +1138,24 @@ def test_nan_rate_and_distortion_rejected():
                                      RngStream(1))
 
 
-def test_rd_degenerate_marginal_rejected():
-    src = make_distribution([1.0, 0.0])
-    tc = Channel(np.eye(2))
-    with pytest.raises(DegenerateMarginal):
-        simulate_rate_distortion(src, tc, hamming_distortion(2), 0.1, 0.4, 20, 10,
-                                 RngStream(1))
+@pytest.mark.parametrize("method", ["materialize", "conditional"])
+def test_rd_zero_mass_reproductions_are_never_drawn(method):
+    """At D >= D_max = 1/2, ``rate_distortion``'s test channel sends both
+    source symbols to one reproduction, so the other has no mass.  Every
+    codeword is then that one word, and a trial succeeds iff the block has
+    at most floor(nD) symbols off it: P(Bin(n, 1/2) <= floor(nD)) exactly.
+    A source of one symbol through the identity channel is always covered."""
+    u, d, trials = uniform_distribution(2), hamming_distortion(2), 3000
+    for D, n in itertools.product((0.5, 0.6), (10, 21)):
+        tc = rate_distortion(u, d, D).optimal_test_channel
+        assert sorted(u.probs @ tc.rows) == [0.0, 1.0]
+        rep = simulate_rate_distortion(u, tc, d, D, 0.3, n, trials, RngStream(7),
+                                       method=method)
+        exact = sum(math.comb(n, j) for j in range(math.floor(n * D) + 1)) / 2**n
+        assert abs(rep.p_hat - exact) <= 3 * math.sqrt(exact * (1 - exact) / trials), (D, n)
+    rep = simulate_rate_distortion(make_distribution([1.0, 0.0]), Channel(np.eye(2)), d,
+                                   0.1, 0.4, 20, 10, RngStream(1), method=method)
+    assert rep.p_hat == 1.0
 
 
 _U2, _BSC = uniform_distribution(2), binary_symmetric_channel(0.1)
@@ -1162,6 +1173,11 @@ REJECTED_RUNS = {
     "rd-test-channel": lambda: simulate_rate_distortion(
         _U2, Channel(np.full((3, 2), 0.5)), hamming_distortion(2), 0.1, 0.4, 20, 10,
         RngStream(1)),
+    "rd-d-columns-wide": lambda: simulate_rate_distortion(
+        _U2, _BSC, np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0]]), 0.1, 0.4, 20, 10,
+        RngStream(1)),
+    "rd-d-columns-narrow": lambda: simulate_rate_distortion(
+        _U2, _BSC, np.array([[0.0], [1.0]]), 0.1, 0.4, 20, 10, RngStream(1)),
     "rd-method": lambda: simulate_rate_distortion(_U2, _BSC, hamming_distortion(2), 0.1, 0.4,
                                                   20, 10, RngStream(1), method="x"),
     "source-trials": lambda: simulate_source_coding(SourceCodingSetup(_U2, 0.5, 10), 0,
