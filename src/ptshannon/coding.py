@@ -14,6 +14,7 @@ tractable the exact success probability is computed from the type lattice.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,17 @@ from .type_classes import _masked_dot, count_types, log_multinomial, type_array
 
 EXACT_TYPE_GUARD = 2 * 10**6
 MAX_LOG_CODEBOOK = 700.0
+
+
+def _check_count(value, what: str) -> None:
+    """Raise InvalidParameter unless ``value`` is an integer >= 1, of any type
+    ``operator.index`` takes but bool."""
+    try:
+        if not isinstance(value, bool) and operator.index(value) >= 1:
+            return
+    except TypeError:
+        pass
+    raise InvalidParameter(f"{what} must be an integer >= 1, not {value!r}")
 
 
 def codebook_size(rate: float, n: int) -> int:
@@ -67,8 +79,7 @@ class SourceCodingSetup:
     def __post_init__(self):
         if not self.rate > 0:
             raise InvalidParameter("rate must be positive")
-        if self.n < 1:
-            raise InvalidParameter("n must be >= 1")
+        _check_count(self.n, "n")
         if self.mode not in (SOURCE_DEPENDENT, UNIVERSAL):
             raise InvalidParameter(f"unknown mode {self.mode!r}")
 

@@ -18,25 +18,18 @@ distribution.  ``method="auto"`` takes the conditional path unless its
 largest score lattice is over ``LATTICE_GUARD`` while the literal run fits
 ``OPS_GUARD``.
 
-The literal paths draw every symbol as ``Generator.choice`` would, from
-uniforms compared with normalized cumulative sums (:func:`_symbols`), so no
-draw lands outside its alphabet or on a zero-mass symbol.  A codebook stays
-the uniforms of one reused (N_m, n) buffer (:class:`_Codebook`): a word's
-likelihood depends on the block only through how often it lands on each
-atom of :class:`_ScoreLaw`, so each trial counts those with one
-compare-and-count pass over the buffer and scores every word from its
-counts, elementwise in atom order (:meth:`_Codebook.sums`).  Words with
-equal counts get the same float, so the ML decoder meets every exact tie
-and breaks it by a uniform draw.
-
-Both conditional paths use one score law, :class:`_ScoreLaw`: a rival
-codeword's score (and, for rate-distortion, its distortion) is a sum of
-i.i.d. per-symbol draws whose law depends on the block symbol.  Block
-symbols that induce the same law on a codeword symbol pool into a group,
-and the law is one composition lattice per group, built once per run,
-memoized by (group, count) and folded; the sent word's score goes through
-the same arithmetic, so ties are found by exact equality.  Symmetric
-channels and binary rate-distortion pool into one O(n) lattice.
+Every word is scored through one score law, :class:`_ScoreLaw`: block
+symbols that induce the same law on a codeword symbol pool into a group, and
+a word's score (and, for rate-distortion, its distortion) depends on the
+block only through its count on each atom of each group.  The law's one
+table puts each (codeword, block) cell on its atom, and its one sum,
+:func:`_atom_sums`, turns atom counts into scores, alike for the rival
+lattice's points, the sent word and every literal codebook word
+(:class:`_Codebook`, drawn as ``Generator.choice`` would: :func:`_draw`).
+The sum adds in an order that does not depend on how many words are scored
+at once, so a word's score is bit for bit a point of its lattice and every
+tie is exact; literal ML breaks ties by a uniform draw.  A lattice folds one
+composition lattice per group, memoized per run by (group, count).
 
 The channel decoder asks only whether a rival scores above, or ties, the
 threshold or the sent word's score.  So a channel lattice keeps just the
@@ -45,11 +38,10 @@ fold with a bound float rounding cannot break (its answers are bit for bit
 the full lattice's; a block that asks lower refolds it), is kept across
 trial blocks, and answers each distinct question of a block once by a
 log-sum-exp over the points above or equal (:func:`_log_mass`).  It is never
-sorted, as a block asks it few questions.  On a 2-core container, sorting
-each lattice once made the benchmark's ``sim-lattice`` runs 22 % slower and
-a sort-free bucketed reader threshold runs 20-30 % slower; without the
-kept lattices 20 000 trials on a 3x3 channel at n = 24 took 1.6 s, not
-1.3 s, with ML and 0.40 s, not 0.20 s, with the threshold decoder.  The
+sorted, as a block asks it few questions: on a 2-core container, sorting
+each lattice once made the benchmark's ``sim-lattice`` runs 22 % slower,
+and dropping the kept lattices made a 3x3 channel at n = 24 take 1.6 s,
+not 1.3 s, with ML and twice as long with the threshold decoder.  The
 rate-distortion failure sum reads every point: it folds in full and reads
 each side of the budget from one distinct-score table with suffix log
 masses (:func:`_sorted_tail`).  The win law and the failure sum are one
@@ -77,6 +69,7 @@ from .alphabet import Channel, Distribution, RngStream
 from .coding import (
     MAX_LOG_CODEBOOK,
     SourceCodingSetup,
+    _check_count,
     codebook_size,
     log_codebook_size,
 )
@@ -166,8 +159,7 @@ def _type_trials(trials: int, rng: RngStream, draw_types, p_new) -> TrialReport:
 def simulate_source_coding(setup: SourceCodingSetup, trials: int, rng: RngStream) -> TrialReport:
     """Draw block types from the source; success iff the type lies in the
     fixed-rate acceptance set."""
-    if trials < 1:
-        raise InvalidParameter("trials must be >= 1")
+    _check_count(trials, "trials")
     return _type_trials(trials, rng,
                         lambda gen, size: gen.multinomial(setup.n, setup.source.probs, size=size),
                         setup.encodable)
@@ -175,13 +167,43 @@ def simulate_source_coding(setup: SourceCodingSetup, trials: int, rng: RngStream
 
 # --- score lattices -------------------------------------------------------------
 
-def _composition_lattice(m: int, values: np.ndarray, log_mass: np.ndarray, *companions):
-    """(score, log-probability, *companions) of the sum of m i.i.d. draws
-    from a finite atom set, enumerated over occupancy vectors with
+def _composition_lattice(m: int, log_mass: np.ndarray, terms: list):
+    """(score, log-probability, companion if any) of the sum of m i.i.d.
+    draws from atoms with ``terms``, enumerated over occupancy vectors with
     multinomial weights.  Its caller checks the size against the guard."""
-    counts = type_array(values.size, m)
+    counts = type_array(log_mass.size, m)
     log_pmf = log_multinomial(counts) + _masked_dot(counts, log_mass)
-    return (_masked_dot(counts, values), log_pmf, *(counts @ c for c in companions))
+    score, *companion = _atom_sums(np.ascontiguousarray(counts.T), terms, 1)
+    return (score, log_pmf, *companion)
+
+
+def _terms(*components: np.ndarray) -> list:
+    """Per component (score first), what :func:`_atom_sums` multiplies counts
+    by: the values as a column, -inf as 0.0, and the atoms of value -inf."""
+    return [(np.where(v > -np.inf, v, 0.0)[:, None], np.flatnonzero(v == -np.inf))
+            for v in components]
+
+
+def _atom_sums(counts: np.ndarray, terms: list, groups: int) -> list:
+    """Per component of ``terms``, each word's sum_k count_k * value_k, where
+    ``counts`` has a row per atom slot (:class:`_ScoreLaw`) and a column per
+    word.  A group's atoms add in order, then the groups in order from 0.0,
+    as :func:`_fold` adds them, each addition one elementwise add across
+    words, so a word gets the same float alone as in a batch (numpy sums 8
+    or more contiguous terms pairwise).  -inf where a -inf atom has a count."""
+    sums = []
+    for column, dead in terms:
+        x = counts * column
+        part = x[:groups]  # slot 0 of every group, then each further slot adds
+        for k in range(groups, x.shape[0], groups):
+            part += x[k:k + groups]
+        total = part[0] + 0.0
+        for j in range(1, groups):
+            total += part[j]
+        if dead.size:
+            total[counts[dead].any(axis=0)] = -np.inf
+        sums.append(total)
+    return sums
 
 
 def _fold(a: tuple, b: tuple) -> tuple:
@@ -219,6 +241,12 @@ class _ScoreLaw:
     pools into one group and an O(n) lattice; a noiseless or erasure column
     has 2 atoms or 1.
 
+    One table and one sum score every word, lattice point, sent word or
+    literal word alike.  The atoms of all groups make one slot-major axis
+    (atom i of group j at i * groups + j; spare slots count nothing),
+    ``onehot[a, b]`` puts cell (a, b) on its atom, and :func:`_atom_sums`
+    scores the counts with ``terms`` in an order no batch size changes.
+
     A lattice is the unsorted fold of the groups' composition lattices:
     parallel arrays (score, log-probability, companion if any).  A law is
     made once per run and memoizes each part by (group, count); a lattice
@@ -245,13 +273,13 @@ class _ScoreLaw:
             self.group[b], order = groups[law]
             self.atom[live, b] = [order.index(q) for q in pairs]
         self.member = np.eye(len(self.atoms), dtype=np.int64)[self.group]
-        # per group: its block symbols, and a one-hot map from the group's
-        # (codeword symbol, block symbol) cells, flattened, to its atoms
-        self.cells = []
-        for j, (values, *_) in enumerate(self.atoms):
-            cols = np.flatnonzero(self.group == j)
-            onehot = np.eye(values.size, dtype=np.int64)[self.atom[:, cols].ravel()]
-            self.cells.append((cols, onehot))
+        # per component, the value of every atom slot: (slots, groups)
+        table = np.zeros((len(parts), max(a[0].size for a in self.atoms), len(self.atoms)))
+        for j, (values, _, *companion) in enumerate(self.atoms):
+            table[:, :values.size, j] = values, *companion
+        self.onehot = np.eye(table[0].size)[self.atom * len(self.atoms) + self.group]
+        self.terms = _terms(*table.reshape(len(parts), -1))
+        self.group_terms = [_terms(v, *c) for v, _, *c in self.atoms]  # for lattice parts
         self.parts: dict[tuple[int, int], tuple] = {}  # (group, count) -> composition lattice
 
     def key(self, col_counts: np.ndarray) -> np.ndarray:
@@ -281,7 +309,7 @@ class _ScoreLaw:
             )
         for j, m in counts:
             if (j, m) not in self.parts:
-                self.parts[j, m] = _composition_lattice(m, *self.atoms[j])
+                self.parts[j, m] = _composition_lattice(m, self.atoms[j][1], self.group_terms[j])
         parts = [self.parts[c] for c in counts]
         tops = [part[0].max() for part in parts]
         folded = parts[0]
@@ -298,16 +326,10 @@ class _ScoreLaw:
 
     def score(self, joint: np.ndarray) -> np.ndarray:
         """Scores of a stack of words, one per joint (codeword, block) type
-        along the first axis, all in one batched pass.  Each group's atom
-        counts come from one product with its one-hot map and are scored by
-        :func:`_masked_dot`, the lattice's own arithmetic, and the groups
-        add in order from 0.0, as the lattice folds them (a group with no
-        count adds 0.0), so exact-equality lookups in the lattice are
-        meaningful."""
-        score = np.zeros(joint.shape[0])
-        for (values, *_), (cols, onehot) in zip(self.atoms, self.cells):
-            score += _masked_dot(joint[:, :, cols].reshape(joint.shape[0], -1) @ onehot, values)
-        return score
+        along the first axis: their atom counts through the one table, summed."""
+        cells = joint.reshape(joint.shape[0], -1)
+        counts = self.onehot.reshape(cells.shape[1], -1).T @ cells.T
+        return _atom_sums(counts, self.terms[:1], len(self.atoms))[0]
 
 
 def _largest_lattice(law: _ScoreLaw, n: int) -> int:
@@ -334,17 +356,14 @@ def _largest_lattice(law: _ScoreLaw, n: int) -> int:
 
 class _Codebook:
     """A literal codebook: N_m words of length n drawn i.i.d. from the law
-    with thresholds ``cdf``, kept as the uniforms of one (N_m, n) buffer
-    reused across trials, and scored against a block through ``law``'s atoms.
+    with thresholds ``cdf``, kept as the uniforms ``u`` of one reused
+    (N_m, n) buffer, and scored by ``law``'s one table and one sum.
 
-    A word's score (and companion) depends on the block only through how
-    often the word lands on each atom (the method of types), so every word's
-    atom counts are found in one compare-and-count pass over the uniforms:
-    with the cell -> atom one-hot table O[a, b] (atoms of all groups in
-    order), word symbol a is 0 plus the number of thresholds at or below its
-    uniform, so O[word_j, b] = O[0, b] + sum_a [u_j >= cdf[a]] (O[a+1, b] -
-    O[a, b]), and summed over positions the counts of all words (a column
-    per word) are
+    With the table O[a, b] (``law.onehot``), word symbol a is 0 plus the
+    number of thresholds at or below its uniform, so
+    O[word_j, b] = O[0, b] + sum_a [u_j >= cdf[a]] (O[a+1, b] - O[a, b]),
+    and summed over positions the atom counts of all words (a column per
+    word) are
 
         O[0]^T bincount(block) + sum_a (O[a+1] - O[a])[block]^T [u >= cdf[a]]^T,
 
@@ -353,53 +372,22 @@ class _Codebook:
     equal, so its one-hot rows cancel."""
 
     def __init__(self, law: _ScoreLaw, cdf: np.ndarray, n_m: int, n: int):
+        self.law = law
         self.cdf = cdf
         self.u = np.empty((n_m, n))
         self._below = np.empty((n_m, n))  # [u >= cdf[a]], as floats
-        offset = np.cumsum([0] + [atoms[0].size for atoms in law.atoms[:-1]])
-        onehot = np.eye(offset[-1] + law.atoms[-1][0].size)[offset[law.group] + law.atom]
         # atom-major, so a word's counts are a column: (atoms, block symbols)
-        self._cell0 = onehot[0].T
-        self._steps = np.diff(onehot, axis=0).transpose(0, 2, 1).copy()
-        # the score, and the companion if any, per atom of all groups in
-        # order: a column with -inf as 0.0, and the atoms of value -inf
-        self._terms = [(np.where(values > -np.inf, values, 0.0)[:, None],
-                        np.flatnonzero(values == -np.inf))
-                       for values in map(np.concatenate,
-                                         zip(*(atoms[:1] + atoms[2:] for atoms in law.atoms)))]
-
-    def draw(self, gen: np.random.Generator) -> None:
-        """Fill the buffer: the same stream as ``gen.random((N_m, n))``."""
-        gen.random(out=self.u)
-
-    def word(self, m: int) -> np.ndarray:
-        return _symbols(self.u[m], self.cdf)
-
-    def counts(self, block: np.ndarray) -> np.ndarray:
-        """(atoms, N_m) counts of every word against the block."""
-        base = self._cell0 @ np.bincount(block, minlength=self._cell0.shape[1])
-        counts = base[:, None].repeat(self.u.shape[0], axis=1)
-        for c, step in zip(self.cdf, self._steps[:, :, block]):
-            np.greater_equal(self.u, c, out=self._below)
-            counts += step @ self._below.T
-        return counts
+        self._cell0 = law.onehot[0].T
+        self._steps = np.diff(law.onehot, axis=0).transpose(0, 2, 1).copy()
 
     def sums(self, block: np.ndarray) -> list:
-        """Every word's score against the block, and its companion if the
-        law has one: sum_k count_k * value_k per word.  The atom axis is the
-        outer one, so numpy adds the atoms' terms in order, elementwise over
-        the words: every word's sum is the same sequence of float additions,
-        and words with equal counts get bit-identical sums (a sum along a
-        word's own row, or a BLAS dot, need not be).  -inf wherever an atom
-        of value -inf has a count; an atom with no count adds nothing."""
-        counts = self.counts(block)
-        sums = []
-        for column, dead in self._terms:
-            total = np.add.reduce(counts * column, axis=0)
-            if dead.size:
-                total[counts[dead].any(axis=0)] = -np.inf
-            sums.append(total)
-        return sums
+        """Every word's score against the block, and its companion if any."""
+        base = self._cell0 @ np.bincount(block, minlength=self._cell0.shape[1])
+        counts = base[:, None].repeat(self.u.shape[0], axis=1)
+        for c, step in zip(self.cdf, np.take(self._steps, block, axis=2)):
+            np.greater_equal(self.u, c, out=self._below)
+            counts += step @ self._below.T
+        return _atom_sums(counts, self.law.terms, len(self.law.atoms))
 
 
 def _log_pow_one_minus(log_eps, log_m) -> np.ndarray:
@@ -449,12 +437,12 @@ def simulate_channel_coding(channel: Channel, input_dist: Distribution, rate: fl
 def _front_door(method: str, trials: int, channel: Channel, fed: Distribution,
                 rate: float, n: int, d=None) -> float:
     """ln N_m, after the checks both codebook simulators make before any
-    work, in order: method, trials, shapes (``fed`` is the law on the
-    channel's inputs, ``d`` inputs x outputs) and at least 2 rows."""
+    work, in order: method, integer trials and n, shapes (``fed`` is the law
+    on the channel's inputs, ``d`` inputs x outputs) and at least 2 rows."""
     if method not in ("auto", "materialize", "conditional"):
         raise InvalidParameter("method must be 'auto', 'materialize', or 'conditional'")
-    if trials < 1:
-        raise InvalidParameter("trials must be >= 1")
+    _check_count(trials, "trials")
+    _check_count(n, "n")
     if channel.input_size != fed.alphabet_size or (
             d is not None and np.shape(d) != channel.rows.shape):
         raise DimensionMismatch("the law fed to the channel, or d, does not match its shape")
@@ -495,9 +483,9 @@ def _channel_materialized(channel, input_dist, law, rate, n, trials, decoder, rn
     book = _Codebook(law, _cdf(input_dist.probs), n_m, n)
     successes = 0
     for gen in rng.substream_generators(trials):
-        book.draw(gen)
+        gen.random(out=book.u)
         m = int(gen.integers(n_m))
-        y = _draw(gen, cdf_rows[book.word(m)].T, n)
+        y = _draw(gen, cdf_rows[_symbols(book.u[m], book.cdf)].T, n)
         scores, = book.sums(y)
         s_true = scores[m]
         scores[m] = -np.inf  # the rivals' best is the maximum of the rest
@@ -679,7 +667,7 @@ def _rd_materialized(source, q_hat, law, budget, margin, n, trials, rng, n_m) ->
     successes = 0
     for gen in rng.substream_generators(trials):
         x = _draw(gen, cdf_source, n)
-        book.draw(gen)
+        gen.random(out=book.u)
         scores, dists = book.sums(x)
         meets = dists <= budget
         successes += bool(scores[meets].max(initial=-np.inf)

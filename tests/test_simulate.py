@@ -357,6 +357,79 @@ def test_batched_score_equals_per_type_reference(name, data):
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+# nine inputs into two outputs, every entry distinct: under a uniform input
+# each output column is a group of 9 atoms, past the 8 contiguous terms that
+# numpy starts to sum pairwise
+WIDE_ROWS = np.random.default_rng(5).dirichlet([1.0, 1.0], size=9).tolist()
+LITERAL_CHANNELS = {**SCORED_CHANNELS, "wide": (WIDE_ROWS, [1 / 9] * 9)}
+
+
+def _joint_types(book: _Codebook, block: np.ndarray, shape: tuple) -> np.ndarray:
+    """The joint (codeword, block) type of every word of a literal codebook."""
+    words = _symbols(book.u, book.cdf)
+    joint = np.zeros((words.shape[0], *shape), dtype=np.int64)
+    np.add.at(joint, (np.arange(words.shape[0])[:, None], words, block[None, :]), 1)
+    return joint
+
+
+@pytest.mark.parametrize("name", sorted(LITERAL_CHANNELS))
+def test_literal_word_scores_are_the_scores_of_their_joint_types(name):
+    """Every literal word's score is bit for bit ``law.score`` of its joint
+    type, -inf included: on laws of one and of three groups, on laws with
+    -inf atoms and on one with groups of 9 atoms.  The block is the
+    channel's output for the first word, so that word scores finite."""
+    rows, p_in = (np.array(x) for x in LITERAL_CHANNELS[name])
+    with np.errstate(divide="ignore"):
+        law = _ScoreLaw(np.log(rows), np.log(p_in))
+    gen = RngStream(5).generator()
+    for n in (1, 6, 23):
+        book = _Codebook(law, _cdf(p_in), 300, n)
+        gen.random(out=book.u)
+        block = _draw(gen, _cdf(rows)[_symbols(book.u[0], book.cdf)].T, n)
+        got = book.sums(block)[0]
+        assert got.tobytes() == law.score(_joint_types(book, block, rows.shape)).tobytes()
+        assert np.isfinite(got[0])
+
+
+def test_literal_rd_words_are_lattice_points():
+    """On the ternary Hamming source with ``rate_distortion``'s own test
+    channel, every literal word's (score, distortion) equals a point of the
+    lattice of the block's pooled type exactly."""
+    src, d = make_distribution([0.5, 0.3, 0.2]), hamming_distortion(3)
+    tc = rate_distortion(src, d, 0.15).optimal_test_channel
+    q_hat = src.probs @ tc.rows
+    g = np.log(src.probs[:, None] * tc.rows).T - np.log(q_hat)[:, None]
+    law = _ScoreLaw(g, np.log(q_hat), d.T)
+    gen = RngStream(6).generator()
+    for n in (5, 12, 24):
+        block = _draw(gen, _cdf(src.probs), n)
+        book = _Codebook(law, _cdf(q_hat), 200, n)
+        gen.random(out=book.u)
+        values, _, dists = law.lattice(law.key(np.bincount(block, minlength=3)))
+        points = set(zip(values.tolist(), dists.tolist()))
+        words = list(zip(*(x.tolist() for x in book.sums(block))))
+        assert sum(word not in points for word in words) == 0, n
+
+
+def test_one_word_scores_alone_as_in_a_batch():
+    """On the law with groups of 9 atoms, a word scored alone, by
+    ``law.score`` or as a one-word codebook, gets the float it gets in a
+    batch of 200."""
+    rows, p_in = (np.array(x) for x in LITERAL_CHANNELS["wide"])
+    law = _ScoreLaw(np.log(rows), np.log(p_in))
+    gen = RngStream(7).generator()
+    n = 40
+    book, alone = (_Codebook(law, _cdf(p_in), n_m, n) for n_m in (200, 1))
+    gen.random(out=book.u)
+    block = gen.integers(2, size=n)
+    joints = _joint_types(book, block, rows.shape)
+    assert law.score(joints).tobytes() == book.sums(block)[0].tobytes()
+    for u, joint, score in zip(book.u, joints, book.sums(block)[0]):
+        alone.u[:] = u
+        assert (alone.sums(block)[0].tobytes() == law.score(joint[None]).tobytes()
+                == score.tobytes())
+
+
 def _sorted_tails(values: np.ndarray, log_pmf: np.ndarray, t: float) -> tuple:
     """Reference for ln P(score > t) and ln P(score >= t): sort the lattice
     stably, accumulate log masses from the top, look t up by bisection."""
@@ -572,10 +645,10 @@ def test_each_type_computed_once_per_run(monkeypatch):
     seen = {"part": [], "lattice": [], "score": []}
     composition, lattice, score = simulate._composition_lattice, _ScoreLaw.lattice, _ScoreLaw.score
 
-    def composition_spy(m, *atoms):
-        # distinct groups have distinct atom laws, so the atoms name the group
-        seen["part"].append((m, *(a.tobytes() for a in atoms)))
-        return composition(m, *atoms)
+    def composition_spy(m, log_mass, terms):
+        # a law keeps one terms list per group for the run, so its id names the group
+        seen["part"].append((m, id(terms)))
+        return composition(m, log_mass, terms)
 
     def lattice_spy(self, key, floor=-math.inf):
         seen["lattice"].append((tuple(key), floor))
@@ -1182,6 +1255,25 @@ REJECTED_RUNS = {
                                                   20, 10, RngStream(1), method="x"),
     "source-trials": lambda: simulate_source_coding(SourceCodingSetup(_U2, 0.5, 10), 0,
                                                     RngStream(1)),
+    # n and trials are integers, as the CLI reads them: no float, however
+    # integral, and no bool
+    "channel-n-float": lambda: simulate_channel_coding(_BSC, _U2, 0.4, 20.5, 10, "ml",
+                                                       RngStream(1)),
+    "channel-trials-float": lambda: simulate_channel_coding(_BSC, _U2, 0.4, 20, 10.0, "ml",
+                                                            RngStream(1)),
+    "channel-trials-bool": lambda: simulate_channel_coding(_BSC, _U2, 0.4, 20, True, "ml",
+                                                           RngStream(1)),
+    "rd-n-float": lambda: simulate_rate_distortion(_U2, _BSC, hamming_distortion(2), 0.1, 0.4,
+                                                   20.0, 10, RngStream(1)),
+    "rd-trials-float": lambda: simulate_rate_distortion(_U2, _BSC, hamming_distortion(2), 0.1,
+                                                        0.4, 20, 10.0, RngStream(1)),
+    "source-n-float": lambda: simulate_source_coding(SourceCodingSetup(_U2, 1.0, 2.5), 10,
+                                                     RngStream(1)),
+    "source-n-bool": lambda: source_coding_exact_psuc(SourceCodingSetup(_U2, 1.0, True)),
+    "source-trials-float": lambda: simulate_source_coding(SourceCodingSetup(_U2, 0.5, 10), 10.0,
+                                                          RngStream(1)),
+    "source-trials-bool": lambda: simulate_source_coding(SourceCodingSetup(_U2, 0.5, 10), True,
+                                                         RngStream(1)),
 }
 
 
