@@ -135,8 +135,11 @@ class RngStream:
     from ``substream(b)`` for block index b (a literal-codebook trial from
     ``substream(i)`` for trial index i), always in full, so trial i's outcome
     depends only on (seed, i) and runs stay reproducible under any worker
-    scheduling.  ``substream_generators(k)`` walks substreams 0..k-1 in
-    order without seeding a Philox per substream.
+    scheduling.  A literal trial reads its symbols from raw Philox words,
+    four 16-bit prefixes to a word and one more word for each symbol whose
+    prefix leaves it undecided, and its sent index and ML tie-break through
+    the generator's own methods.  ``substream_generators(k)`` walks
+    substreams 0..k-1 in order without seeding a Philox per substream.
     """
 
     seed: int

@@ -45,8 +45,9 @@ def codebook_size(rate: float, n: int) -> int:
     an integer exactly (e.g. n*rate = k ln 2) from flooring through it.
     Beyond n*rate = 700 no codebook can be materialized and the size is not
     built: `log_codebook_size` carries it there."""
-    if not rate > 0 or n < 1:
-        raise InvalidParameter("rate must be positive and n >= 1")
+    if not rate > 0:
+        raise InvalidParameter("rate must be positive")
+    _check_count(n, "n")
     if n * rate > MAX_LOG_CODEBOOK:
         raise CodebookTooLarge(
             f"codebook of e^{n * rate:.1f} rows; use log_codebook_size"
@@ -58,6 +59,7 @@ def log_codebook_size(rate: float, n: int) -> float:
     """ln floor(exp(n * rate)) at any size: the log of `codebook_size` while
     the integer exists, n*rate beyond, where the floor moves the log by less
     than e^-700."""
+    _check_count(n, "n")
     if n * rate > MAX_LOG_CODEBOOK:
         return n * rate
     return math.log(codebook_size(rate, n))
@@ -161,8 +163,7 @@ def channel_coding_prediction(channel: Channel, input_dist: Distribution,
     normal approximation of P(sum_j ln P(x_j:y_j) > nR), degenerating to the
     step when b = 0.
     """
-    if n < 1:
-        raise InvalidParameter("n must be >= 1")
+    _check_count(n, "n")
     joint = joint_from(channel, input_dist)
     a, b = log_info_ratio_moments(joint)
     step = 1 if rate < a else 0

@@ -25,11 +25,21 @@ block only through its count on each atom of each group.  The law's one
 table puts each (codeword, block) cell on its atom, and its one sum,
 :func:`_atom_sums`, turns atom counts into scores, alike for the rival
 lattice's points, the sent word and every literal codebook word
-(:class:`_Codebook`, drawn as ``Generator.choice`` would: :func:`_draw`).
-The sum adds in an order that does not depend on how many words are scored
-at once, so a word's score is bit for bit a point of its lattice and every
-tie is exact; literal ML breaks ties by a uniform draw.  A lattice folds one
-composition lattice per group, memoized per run by (group, count).
+(:class:`_Codebook`).  The sum adds in an order that does not depend on how
+many words are scored at once, so a word's score is bit for bit a point of
+its lattice and every tie is exact; literal ML breaks ties by a uniform
+draw.  A lattice folds one composition lattice per group, memoized per run
+by (group, count).
+
+Every literal symbol (codeword, channel output or source symbol) is drawn
+by one sampler, :class:`_Sampler`, with ``Generator.choice``'s law exactly:
+choice's uniform is u = k 2^-53 for a 53-bit k, and the sampler reads k
+lazily.  Each raw Philox word, read little-endian, gives the 16-bit
+prefixes of four symbols' k, which decide the symbol unless the prefix is
+that of a cut (an integer threshold on k) with low bits, about once in 2^16
+per such cut; only then does the symbol read one more raw word, whose top
+37 bits complete its k.  So a literal codebook costs a quarter of a Philox
+word per symbol, and the decoder's comparisons read 16-bit prefixes.
 
 The channel decoder asks only whether a rival scores above, or ties, the
 threshold or the sent word's score.  So a channel lattice keeps just the
@@ -107,24 +117,68 @@ def _cdf(p: np.ndarray) -> np.ndarray:
     return cdf[..., :-1]
 
 
-def _symbols(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    """The symbol each uniform draws under the law with thresholds ``cdf``
-    (from :func:`_cdf`): the count of thresholds at or below it, which is
-    what ``Generator.choice``'s ``searchsorted(side="right")`` returns.  Each
-    threshold may also be an array, one per uniform."""
-    words = np.zeros(u.shape, dtype=np.int64)
-    for c in cdf:
-        words += u >= c
-    return words
+_TAIL = 37  # the bits of a 53-bit uniform below its 16-bit prefix
+_LOW = (1 << _TAIL) - 1
+_NONE = np.empty(0, dtype=np.int64)
 
 
-def _draw(gen: np.random.Generator, cdf: np.ndarray, shape) -> np.ndarray:
-    """A block of symbols of the law with thresholds ``cdf``, the same draws
-    as ``Generator.choice`` with that law, the stream advanced by the same
-    ``gen.random(shape)``.  The literal paths draw their source blocks and
-    channel outputs here, so no draw lands outside its alphabet or on a
-    zero-mass symbol; their codebooks stay uniforms (:class:`_Codebook`)."""
-    return _symbols(gen.random(shape), cdf)
+def _prefixes(gen: np.random.Generator, size: int) -> np.ndarray:
+    """The 16-bit prefixes of ``size`` fresh 53-bit uniforms: each raw Philox
+    word, read little-endian on every platform, holds four, its low 16 bits
+    first."""
+    raw = gen.bit_generator.random_raw(-(-size // 4))
+    return raw.astype("<u8", copy=False).view("<u2")[:size]
+
+
+class _Sampler:
+    """Literal symbols of one law, or of one law per row of ``cdf``, each
+    the one ``Generator.choice`` draws from a uniform u = k 2^-53, with k a
+    lazy 53-bit uniform.
+
+    ``choice`` counts the thresholds c of :func:`_cdf` at or below u, and
+    u >= c iff k >= K = ceil(c 2^53), exactly, as c 2^53 is a float; no k
+    reaches the cut K = 2^53 of c = 1.  A symbol reads the 16-bit prefix of
+    its k first, and k >= K iff prefix >= K >> 37, the cut's own prefix,
+    unless the two are equal and K has low bits.  An entry with such a
+    prefix straddles the cut and reads the top 37 bits of one more raw word
+    to complete its k (:meth:`complete`): about one entry in 2^16 per such
+    cut, and none when every cut is a multiple of 2^37.  Each symbol is a
+    monotone step function of k, so the law is ``choice``'s exactly, at a
+    quarter of its Philox output.
+
+    ``cuts``, ``heads`` (each cut's prefix) and ``tops`` (the prefix that
+    leaves a cut undecided, -1 for none, which no prefix is) hold a row per
+    cut and a column per law."""
+
+    def __init__(self, cdf: np.ndarray):
+        self.cuts = np.ceil(np.ldexp(np.atleast_2d(cdf), 53)).astype(np.int64).T
+        self.heads = self.cuts >> _TAIL
+        self.tops = np.where(self.cuts & _LOW, self.heads, -1)
+
+    def complete(self, gen: np.random.Generator, prefix: np.ndarray, at: np.ndarray,
+                 laws) -> np.ndarray:
+        """The symbols of the straddling entries ``at`` (flat indices of
+        ``prefix``, in order) under their ``laws`` (columns), each k
+        completed by one more raw word."""
+        tail = gen.bit_generator.random_raw(at.size) >> np.uint64(64 - _TAIL)
+        k = prefix.reshape(-1)[at].astype(np.int64) << _TAIL | tail.astype(np.int64)
+        return (k >= self.cuts[:, laws]).sum(axis=0)
+
+    def draw(self, gen: np.random.Generator, n: int, given=None) -> np.ndarray:
+        """A block of n symbols: under the one law, or position i under law
+        ``given[i]``.  It reads n prefixes, then one raw word per straddling
+        entry.  The literal paths draw their source blocks and channel
+        outputs here, so none lands outside its alphabet or on a zero-mass
+        symbol, and :class:`_Codebook` its words the same way."""
+        heads, tops = ((self.heads, self.tops) if given is None else
+                       (self.heads.take(given, axis=1), self.tops.take(given, axis=1)))
+        prefix = _prefixes(gen, n).astype(np.int64)  # an int64 compare leaves fewer casts
+        words = (prefix >= heads).sum(axis=0)
+        hit = prefix == tops
+        if hit.any():
+            at = np.flatnonzero(hit.any(axis=0))
+            words[at] = self.complete(gen, prefix, at, slice(None) if given is None else given[at])
+        return words
 
 
 def _type_trials(trials: int, rng: RngStream, draw_types, p_new) -> TrialReport:
@@ -355,38 +409,71 @@ def _largest_lattice(law: _ScoreLaw, n: int) -> int:
 
 
 class _Codebook:
-    """A literal codebook: N_m words of length n drawn i.i.d. from the law
-    with thresholds ``cdf``, kept as the uniforms ``u`` of one reused
-    (N_m, n) buffer, and scored by ``law``'s one table and one sum.
+    """A literal codebook: N_m words of length n drawn i.i.d. from the one
+    law of ``sampler``, kept as the 16-bit prefixes of their uniforms, and
+    scored by ``law``'s one table and one sum.
 
     With the table O[a, b] (``law.onehot``), word symbol a is 0 plus the
-    number of thresholds at or below its uniform, so
-    O[word_j, b] = O[0, b] + sum_a [u_j >= cdf[a]] (O[a+1, b] - O[a, b]),
+    number of cuts at or below its k, so
+    O[word_j, b] = O[0, b] + sum_a [k_j >= K_a] (O[a+1, b] - O[a, b]),
     and summed over positions the atom counts of all words (a column per
     word) are
 
-        O[0]^T bincount(block) + sum_a (O[a+1] - O[a])[block]^T [u >= cdf[a]]^T,
+        O[0]^T bincount(block) + sum_a (O[a+1] - O[a])[block]^T [k >= K_a]^T,
 
-    one comparison into a reused float buffer and one product per threshold,
-    exact small integers as floats.  A zero-mass symbol's thresholds are
-    equal, so its one-hot rows cancel."""
+    one comparison into a reused float buffer and one product per cut,
+    exact small integers as floats.  The comparison reads the prefix alone,
+    prefix >= K_a >> 37, which is [k >= K_a] at every entry but the few that
+    straddle a cut (:class:`_Sampler`); their counts then move from the
+    symbol their prefix presumes to the one their k draws.  The cut 2^53
+    adds nothing, and a zero-mass symbol's cuts are equal, so its one-hot
+    rows cancel."""
 
-    def __init__(self, law: _ScoreLaw, cdf: np.ndarray, n_m: int, n: int):
+    def __init__(self, law: _ScoreLaw, sampler: _Sampler, n_m: int, n: int):
         self.law = law
-        self.cdf = cdf
-        self.u = np.empty((n_m, n))
-        self._below = np.empty((n_m, n))  # [u >= cdf[a]], as floats
+        self.sampler = sampler
+        self.shape = (n_m, n)
+        # as ints, so each comparison with the prefixes runs in uint16
+        self._heads = [h for h in sampler.heads[:, 0].tolist() if h <= 0xFFFF]
+        self._tops = np.unique(sampler.tops[sampler.tops >= 0]).tolist()
+        self._below = np.empty((n_m, n))  # [prefix >= head], as floats
         # atom-major, so a word's counts are a column: (atoms, block symbols)
         self._cell0 = law.onehot[0].T
         self._steps = np.diff(law.onehot, axis=0).transpose(0, 2, 1).copy()
 
+    def draw(self, gen: np.random.Generator) -> None:
+        """The next codebook: N_m * n prefixes in row order, then one raw word
+        per straddling entry, in the same order."""
+        self.prefix = _prefixes(gen, self.shape[0] * self.shape[1]).reshape(self.shape)
+        self._rows = self._cols = self._presumed = self._drawn = _NONE
+        hit = np.zeros(self.shape, dtype=bool)
+        for t in self._tops:  # one (N_m, n) comparison at a time, whatever their number
+            hit |= self.prefix == t
+        if hit.any():
+            at = np.flatnonzero(hit)
+            self._rows, self._cols = np.divmod(at, self.shape[1])
+            self._presumed = (self.prefix.reshape(-1)[at] >= self.sampler.heads).sum(axis=0)
+            self._drawn = self.sampler.complete(gen, self.prefix, at, slice(None))
+
+    def word(self, m: int) -> np.ndarray:
+        """The symbols of word m."""
+        words = (self.prefix[m] >= self.sampler.heads).sum(axis=0)
+        if self._rows.size:
+            mine = self._rows == m
+            words[self._cols[mine]] = self._drawn[mine]
+        return words
+
     def sums(self, block: np.ndarray) -> list:
         """Every word's score against the block, and its companion if any."""
         base = self._cell0 @ np.bincount(block, minlength=self._cell0.shape[1])
-        counts = base[:, None].repeat(self.u.shape[0], axis=1)
-        for c, step in zip(self.cdf, np.take(self._steps, block, axis=2)):
-            np.greater_equal(self.u, c, out=self._below)
+        counts = base[:, None].repeat(self.shape[0], axis=1)
+        for h, step in zip(self._heads, np.take(self._steps, block, axis=2)):
+            np.greater_equal(self.prefix, h, out=self._below)
             counts += step @ self._below.T
+        if self._rows.size:
+            cells = block[self._cols]
+            np.add.at(counts.T, self._rows, self.law.onehot[self._drawn, cells]
+                      - self.law.onehot[self._presumed, cells])
         return _atom_sums(counts, self.law.terms, len(self.law.atoms))
 
 
@@ -474,24 +561,28 @@ def _resolve_method(method: str, log_m: float, n: int, trials: int, law: _ScoreL
 
 def _channel_materialized(channel, input_dist, law, rate, n, trials, decoder, rng,
                           n_m) -> TrialReport:
-    """Trial i draws from substream i, in this order: the codebook's
-    uniforms, the sent index, the channel outputs and, for an ML tie, one
-    tie-break uniform."""
+    """Trial i draws from substream i, in this order: the codebook
+    (:meth:`_Codebook.draw`), the sent index, the channel outputs
+    (:meth:`_Sampler.draw`) and, for an ML tie, one tie-break uniform.  The
+    threshold adds the block's output terms in type order, as the
+    conditional path does, so a literal word is decided bit for bit as its
+    joint type is."""
     with np.errstate(divide="ignore"):
         log_p_out = np.log(input_dist.probs @ channel.rows)
-    cdf_rows = _cdf(channel.rows)
-    book = _Codebook(law, _cdf(input_dist.probs), n_m, n)
+    outputs = _Sampler(_cdf(channel.rows))
+    book = _Codebook(law, _Sampler(_cdf(input_dist.probs)), n_m, n)
     successes = 0
     for gen in rng.substream_generators(trials):
-        gen.random(out=book.u)
+        book.draw(gen)
         m = int(gen.integers(n_m))
-        y = _draw(gen, cdf_rows[_symbols(book.u[m], book.cdf)].T, n)
+        y = outputs.draw(gen, n, book.word(m))
         scores, = book.sums(y)
         s_true = scores[m]
         scores[m] = -np.inf  # the rivals' best is the maximum of the rest
         top = scores.max()
         if decoder == "threshold":
-            thresh = n * rate + float(log_p_out[y].sum())
+            y_counts = np.bincount(y, minlength=log_p_out.size)[None]
+            thresh = float(_thresholds(n, rate, y_counts, log_p_out)[0])
             successes += bool(s_true > thresh and not top > thresh)
         else:
             if s_true > top:
@@ -500,6 +591,13 @@ def _channel_materialized(channel, input_dist, law, rate, n, trials, decoder, rn
                 ties = 1 + int(np.count_nonzero(scores == top))
                 successes += bool(gen.random() < 1.0 / ties)
     return _report(successes, trials, rng)
+
+
+def _thresholds(n: int, rate: float, y_counts: np.ndarray, log_p_out: np.ndarray) -> np.ndarray:
+    """The threshold decoder's n*rate + ln P_Y(y) of each block, from its
+    output counts (a row per block), so its terms add in type order, and a
+    block gets the same float alone as in a batch on either path."""
+    return n * rate + _masked_dot(y_counts, log_p_out)
 
 
 def _channel_conditional(channel, input_dist, law, rate, n, trials, decoder, rng,
@@ -537,7 +635,7 @@ def _channel_conditional(channel, input_dist, law, rate, n, trials, decoder, rng
         t = law.score(joint)
         asked = np.arange(t.size)
         if decoder == "threshold":
-            thresholds = n * rate + _masked_dot(y_counts, log_p_out)
+            thresholds = _thresholds(n, rate, y_counts, log_p_out)
             asked = np.flatnonzero(t > thresholds)  # the others fail their own threshold
             t = thresholds
         log_tails = np.empty((asked.size, 2))  # ln P(rival > t), ln P(rival == t)
@@ -660,14 +758,14 @@ def simulate_rate_distortion(source: Distribution, test_channel: Channel, d, D: 
 
 
 def _rd_materialized(source, q_hat, law, budget, margin, n, trials, rng, n_m) -> TrialReport:
-    """Trial i draws the source block and then the codebook's uniforms from
-    substream i; a word's score and distortion come from the same counts."""
-    cdf_source = _cdf(source.probs)
-    book = _Codebook(law, _cdf(q_hat), n_m, n)
+    """Trial i draws the source block and then the codebook from substream
+    i; a word's score and distortion come from the same counts."""
+    blocks = _Sampler(_cdf(source.probs))
+    book = _Codebook(law, _Sampler(_cdf(q_hat)), n_m, n)
     successes = 0
     for gen in rng.substream_generators(trials):
-        x = _draw(gen, cdf_source, n)
-        gen.random(out=book.u)
+        x = blocks.draw(gen, n)
+        book.draw(gen)
         scores, dists = book.sums(x)
         meets = dists <= budget
         successes += bool(scores[meets].max(initial=-np.inf)

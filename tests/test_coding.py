@@ -27,7 +27,7 @@ from ptshannon.coding import (
     UNIVERSAL,
     log_codebook_size,
 )
-from ptshannon.errors import CodebookTooLarge, InstanceTooLarge
+from ptshannon.errors import CodebookTooLarge, InstanceTooLarge, InvalidParameter
 
 from oracles import source_coding_success
 
@@ -47,6 +47,18 @@ def test_codebook_size_convention():
     assert log_codebook_size(2.0, 1000) == 2000.0
     with pytest.raises(CodebookTooLarge):
         codebook_size(1.12, 700)
+
+
+@pytest.mark.parametrize("n", [2.5, True, 0, -1])
+def test_prediction_side_rejects_non_integer_n(n):
+    """The codebook size, its log (past n*rate = 700 too) and the channel
+    prediction take only an integer n >= 1, as the simulators do."""
+    ch, u = binary_symmetric_channel(0.11), uniform_distribution(2)
+    for call in (lambda: codebook_size(0.5, n), lambda: log_codebook_size(0.5, n),
+                 lambda: log_codebook_size(1000.0, n),
+                 lambda: channel_coding_prediction(ch, u, 0.3, n)):
+        with pytest.raises(InvalidParameter, match="n must be an integer"):
+            call()
 
 
 def test_nan_rate_rejected_as_non_positive():
