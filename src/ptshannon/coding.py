@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alphabet import Channel, Distribution, JointDistribution, joint_from
-from .errors import CodebookTooLarge, InstanceTooLarge, InvalidParameter, UndefinedRatio
+from .alphabet import Channel, Distribution, joint_from
+from .errors import CodebookTooLarge, DimensionMismatch, InstanceTooLarge, InvalidParameter
 from .info_measures import entropy, rate_distortion
 from .type_classes import _masked_dot, count_types, log_multinomial, type_array
 
@@ -138,34 +138,38 @@ class ChannelCodingPrediction:
     p_suc_erfc: float
 
 
-def log_info_ratio_moments(joint: JointDistribution) -> tuple[float, float]:
-    """(mean, variance) of ln P(x:y) under the joint; zero cells contribute 0."""
-    p = joint.probs
-    px = p.sum(axis=1, keepdims=True)
-    py = p.sum(axis=0, keepdims=True)
-    denom = px * py
-    support = p > 0
-    if np.any(support & (denom <= 0)):
-        raise UndefinedRatio("information ratio vanishes on the support")
-    v = np.zeros_like(p)
-    v[support] = np.log(p[support] / denom[support])
-    mean = float(np.sum(p * v))
-    var = float(np.sum(p * v * v)) - mean * mean
-    return mean, max(var, 0.0)
+def log_info_ratio(channel: Channel, fed: Distribution) -> tuple[np.ndarray, np.ndarray]:
+    """The information-ratio table of ``fed`` pushed through ``channel``:
+    ln W(b|a) - ln P(b) on the support of fed(a) W(b|a), -inf off it, and
+    the output marginal P.  Each P(b) sums its column of products
+    fed(a) W(b|a) in ascending order, so columns with the same multiset of
+    products get bit-equal entries, and the score laws pool them.  The joint
+    is not validated: each law within its normalization tolerance may make
+    one that is not, which the simulators take."""
+    if channel.input_size != fed.alphabet_size:
+        raise DimensionMismatch("the law fed to the channel does not match its inputs")
+    joint = fed.probs[:, None] * channel.rows
+    marginal = np.sort(joint, axis=0).sum(axis=0)
+    ratio = np.full(joint.shape, -np.inf)
+    on = np.nonzero(joint)
+    ratio[on] = np.log(channel.rows[on]) - np.log(marginal[on[1]])
+    return ratio, marginal
 
 
 def channel_coding_prediction(channel: Channel, input_dist: Distribution,
                               rate: float, n: int) -> ChannelCodingPrediction:
     """Step and erfc predictions for random coding at the given input.
 
-    a is the mutual information of the operating joint; b its log-ratio
-    variance.  The refined prediction is (1/2) erfc(sqrt(n/2b) (R - a)), the
-    normal approximation of P(sum_j ln P(x_j:y_j) > nR), degenerating to the
-    step when b = 0.
+    a is the mutual information of the operating joint and b the variance of
+    its log ratio, both over the table of :func:`log_info_ratio`.  The refined
+    prediction is (1/2) erfc(sqrt(n/2b) (R - a)), the normal approximation of
+    P(sum_j ln P(x_j:y_j) > nR), degenerating to the step when b = 0.
     """
     _check_count(n, "n")
-    joint = joint_from(channel, input_dist)
-    a, b = log_info_ratio_moments(joint)
+    p = joint_from(channel, input_dist).probs
+    v = np.where(p > 0, log_info_ratio(channel, input_dist)[0], 0.0)
+    a = float(np.sum(p * v))
+    b = float(np.sum(p * (v - a) ** 2))
     step = 1 if rate < a else 0
     if b > 0:
         p_erfc = 0.5 * math.erfc(math.sqrt(n / (2.0 * b)) * (rate - a))

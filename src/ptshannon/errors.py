@@ -88,10 +88,6 @@ class NonPositiveWeight(PtShannonError):
 
 
 # --- coding / simulation ----------------------------------------------------
-class UndefinedRatio(PtShannonError):
-    """Information ratio vanished on the support of the joint."""
-
-
 class CodebookTooLarge(PtShannonError):
     """Simulation cost exceeds the run guard."""
 

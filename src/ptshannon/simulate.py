@@ -2,10 +2,14 @@
 
 All three draw fresh random structure per trial (annealed averaging): the
 source simulator draws a source block and tests set membership; the channel
-simulator draws a codebook, sends one codeword, and decodes with either the
-information-ratio threshold decoder or maximum likelihood; the rate-distortion
-simulator draws a reproduction codebook and asks whether some codeword both
-clears the pairwise score margin and meets the distortion budget.
+simulator draws a codebook, sends one codeword, and decodes it by maximum
+likelihood (summed ln W) or by Feinstein's threshold: a word passes iff its
+summed information ratio ln W(y|x) - ln P(y), from the one table of
+:func:`~ptshannon.coding.log_info_ratio`, exceeds n*rate.  The
+rate-distortion simulator draws a reproduction codebook from the marginal
+q-hat = P of that table for the test channel, scores codewords by the table
+transposed, and asks whether some codeword both clears the pairwise score
+margin and meets the distortion budget.
 
 Codebooks have floor(exp(n*rate)) rows.  A protocol can be simulated
 literally (the materialize paths, which draw a codebook per trial from
@@ -82,6 +86,7 @@ from .coding import (
     _check_count,
     codebook_size,
     log_codebook_size,
+    log_info_ratio,
 )
 from .errors import CodebookTooLarge, DimensionMismatch, InvalidParameter
 from .info_measures import _validate_distortion_matrix
@@ -500,11 +505,12 @@ def simulate_channel_coding(channel: Channel, input_dist: Distribution, rate: fl
     """Random-coding Monte Carlo through a memoryless channel.
 
     decoder:
-      ``threshold``: an index passes iff its information ratio
-      ln P(y|x_m) - ln P_Y(y) exceeds n*rate, with P_Y the output marginal
-      of the input distribution through the channel.  The transmitted index
-      succeeds iff it passes and no other index does (Feinstein's rule).
-      ``ml``: argmax log likelihood with uniform tie-break.
+      ``threshold``: an index passes iff its information ratio, the sum over
+      positions of ln W(y_i|x_i) - ln P(y_i) with P the output marginal of
+      the input through the channel (:func:`~ptshannon.coding.log_info_ratio`),
+      exceeds n*rate.  The transmitted index succeeds iff it passes and no
+      other index does (Feinstein's rule).
+      ``ml``: argmax of the summed ln W(y_i|x_i), with uniform tie-break.
 
     method ``auto`` takes the exact conditional form unless its score
     lattice would be over the lattice guard while the literal run,
@@ -514,7 +520,12 @@ def simulate_channel_coding(channel: Channel, input_dist: Distribution, rate: fl
         raise InvalidParameter("decoder must be 'threshold' or 'ml'")
     log_m = _front_door(method, trials, channel, input_dist, rate, n)
     with np.errstate(divide="ignore"):
-        law = _ScoreLaw(np.log(channel.rows), np.log(input_dist.probs))
+        # ML keeps ln W: the ratio's sum splits words of equal exact likelihood
+        # that the ln W sum keeps bit-equal (rivals 2 and 52 of trial 0 of the
+        # 9-ary CI sweep at rate 0.55, which moves one of its 500 trials)
+        table = (log_info_ratio(channel, input_dist)[0] if decoder == "threshold"
+                 else np.log(channel.rows))
+        law = _ScoreLaw(table, np.log(input_dist.probs))
     if _resolve_method(method, log_m, n, trials, law) == "materialize":
         return _channel_materialized(channel, input_dist, law, rate, n, trials,
                                      decoder, rng, codebook_size(rate, n))
@@ -563,12 +574,11 @@ def _channel_materialized(channel, input_dist, law, rate, n, trials, decoder, rn
                           n_m) -> TrialReport:
     """Trial i draws from substream i, in this order: the codebook
     (:meth:`_Codebook.draw`), the sent index, the channel outputs
-    (:meth:`_Sampler.draw`) and, for an ML tie, one tie-break uniform.  The
-    threshold adds the block's output terms in type order, as the
-    conditional path does, so a literal word is decided bit for bit as its
-    joint type is."""
-    with np.errstate(divide="ignore"):
-        log_p_out = np.log(input_dist.probs @ channel.rows)
+    (:meth:`_Sampler.draw`) and, for an ML tie, one tie-break uniform.  Every
+    word's score is bit for bit its joint type's, and the threshold decoder
+    compares it with n*rate, as the conditional path does, so a literal word
+    is decided as its joint type is."""
+    threshold = n * rate
     outputs = _Sampler(_cdf(channel.rows))
     book = _Codebook(law, _Sampler(_cdf(input_dist.probs)), n_m, n)
     successes = 0
@@ -581,9 +591,7 @@ def _channel_materialized(channel, input_dist, law, rate, n, trials, decoder, rn
         scores[m] = -np.inf  # the rivals' best is the maximum of the rest
         top = scores.max()
         if decoder == "threshold":
-            y_counts = np.bincount(y, minlength=log_p_out.size)[None]
-            thresh = float(_thresholds(n, rate, y_counts, log_p_out)[0])
-            successes += bool(s_true > thresh and not top > thresh)
+            successes += bool(s_true > threshold and not top > threshold)
         else:
             if s_true > top:
                 successes += 1
@@ -593,18 +601,11 @@ def _channel_materialized(channel, input_dist, law, rate, n, trials, decoder, rn
     return _report(successes, trials, rng)
 
 
-def _thresholds(n: int, rate: float, y_counts: np.ndarray, log_p_out: np.ndarray) -> np.ndarray:
-    """The threshold decoder's n*rate + ln P_Y(y) of each block, from its
-    output counts (a row per block), so its terms add in type order, and a
-    block gets the same float alone as in a batch on either path."""
-    return n * rate + _masked_dot(y_counts, log_p_out)
-
-
 def _channel_conditional(channel, input_dist, law, rate, n, trials, decoder, rng,
                          log_m) -> TrialReport:
-    """Scores are summed log likelihoods ln P(y|x).  The output-marginal term
-    ln P_Y(y) of the information ratio is common to all codewords, so the
-    threshold decoder adds it to its threshold instead.
+    """Scores are the law's: the information ratio, which the threshold
+    decoder compares with n*rate, or ln W, whose ML question for the rivals
+    is the sent word's score.
 
     Each block's new joint types are scored in one batched pass and grouped
     by pooled output count, then by the decoder's question; each distinct
@@ -612,8 +613,6 @@ def _channel_conditional(channel, input_dist, law, rate, n, trials, decoder, rng
     the types that asked it, and one call of the win law answers them all."""
     rows = channel.rows
     p_in = input_dist.probs
-    with np.errstate(divide="ignore"):
-        log_p_out = np.log(p_in @ rows)
     # pooled output count -> (floor, its lattice's points at or above the floor)
     lattices: dict[tuple, tuple] = {}
     # ln(N_m - 1) rivals, from the integer size wherever it exists
@@ -635,9 +634,8 @@ def _channel_conditional(channel, input_dist, law, rate, n, trials, decoder, rng
         t = law.score(joint)
         asked = np.arange(t.size)
         if decoder == "threshold":
-            thresholds = _thresholds(n, rate, y_counts, log_p_out)
-            asked = np.flatnonzero(t > thresholds)  # the others fail their own threshold
-            t = thresholds
+            asked = np.flatnonzero(t > n * rate)  # the others fail their own threshold
+            t = np.full(t.size, n * rate)
         log_tails = np.empty((asked.size, 2))  # ln P(rival > t), ln P(rival == t)
         keys, key_of = np.unique(law.key(y_counts[asked]), axis=0, return_inverse=True)
         for k, pooled in enumerate(map(tuple, keys.tolist())):
@@ -705,7 +703,7 @@ def _rd_fail_probability(values, log_pmf, dist_totals, budget: float,
     log_meet_above = log_meet_tail[np.searchsorted(meet_values, v - margin, side="right")]
     eps = np.logaddexp(np.stack([log_not_tail[1:], log_not_tail[:-1]]), log_meet_above)
     power = np.exp(_log_pow_one_minus(eps, log_nm))
-    return min(max(float(np.sum(power[0] - power[1])), 0.0), 1.0)
+    return float(np.sum(power[0] - power[1]))
 
 
 def _sorted_tail(values: np.ndarray, log_pmf: np.ndarray) -> tuple:
@@ -730,9 +728,10 @@ def simulate_rate_distortion(source: Distribution, test_channel: Channel, d, D: 
     """Covering Monte Carlo for distortion coding.
 
     Each trial draws a source block and a fresh codebook i.i.d. from the
-    reproduction marginal of source * test_channel.  The trial succeeds iff
-    some codeword passes the pairwise score margins at the given rate and its
-    average distortion against the block is at most D.
+    reproduction marginal q-hat of source * test_channel.  A codeword scores
+    its summed ratio ln W(x-hat|x) - ln q-hat(x-hat) (the ln P(x) of the
+    joint is common to all), and the trial succeeds iff some codeword meets
+    the budget n*D and scores above every one that does not, less n*rate.
 
     A reproduction symbol of no mass is never drawn, so the rate-zero test
     channel of D >= D_max, one reproduction for all, takes the general path.
@@ -741,16 +740,11 @@ def simulate_rate_distortion(source: Distribution, test_channel: Channel, d, D: 
     d = _validate_distortion_matrix(source, d)
     if not D >= 0:
         raise InvalidParameter("D must be non-negative")
-    q_hat = source.probs @ test_channel.rows
-    with np.errstate(divide="ignore"):
-        log_q = np.log(q_hat)
-        # score of reproduction symbol x_hat against source symbol x; the common
-        # source-block terms cancel pairwise.  A symbol of no mass keeps -inf, not nan
-        g = np.log(source.probs[:, None] * test_channel.rows).T
-    g[log_q > -np.inf] -= log_q[log_q > -np.inf, None]
+    ratio, q_hat = log_info_ratio(test_channel, source)
     budget = n * D + 1e-9 * max(1.0, n * D)
     margin = n * rate
-    law = _ScoreLaw(g, log_q, d.T)
+    with np.errstate(divide="ignore"):
+        law = _ScoreLaw(ratio.T, np.log(q_hat), d.T)
     if _resolve_method(method, log_m, n, trials, law) == "materialize":
         return _rd_materialized(source, q_hat, law, budget, margin, n, trials, rng,
                                 codebook_size(rate, n))

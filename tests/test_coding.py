@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from ptshannon import (
     Channel,
+    Distribution,
+    RngStream,
     SourceCodingSetup,
     binary_entropy,
     binary_symmetric_channel,
@@ -16,8 +18,11 @@ from ptshannon import (
     codebook_size,
     entropy,
     hamming_distortion,
+    info_ratio,
+    joint_from,
     make_distribution,
     rate_distortion_prediction,
+    simulate_channel_coding,
     source_coding_asymptote,
     source_coding_exact_psuc,
     uniform_distribution,
@@ -26,8 +31,15 @@ from ptshannon.coding import (
     SOURCE_DEPENDENT,
     UNIVERSAL,
     log_codebook_size,
+    log_info_ratio,
 )
-from ptshannon.errors import CodebookTooLarge, InstanceTooLarge, InvalidParameter
+from ptshannon.errors import (
+    CodebookTooLarge,
+    DimensionMismatch,
+    InstanceTooLarge,
+    InvalidDistribution,
+    InvalidParameter,
+)
 
 from oracles import source_coding_success
 
@@ -201,6 +213,51 @@ def test_universal_and_source_dependent_share_the_step():
 
 
 # --- channel coding -------------------------------------------------------------
+
+CHANNEL_3X3 = [[0.73, 0.17, 0.10], [0.13, 0.79, 0.08], [0.29, 0.23, 0.48]]
+# (channel rows, input): with zero cells, an unused input and an output no
+# input reaches
+RATIO_TABLES = {
+    "bsc": ([[0.89, 0.11], [0.11, 0.89]], [0.5, 0.5]),
+    "z": ([[1.0, 0.0], [0.3, 0.7]], [0.4, 0.6]),
+    "3x3": (CHANNEL_3X3, [0.6, 0.3, 0.1]),
+    "unused-input": (CHANNEL_3X3, [0.7, 0.3, 0.0]),
+    "unreached-output": ([[0.5, 0.5, 0.0], [0.2, 0.8, 0.0]], [0.5, 0.5]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RATIO_TABLES))
+def test_log_info_ratio_is_ln_info_ratio(name):
+    """Cell by cell, the table is ln ``info_ratio`` of the joint on its
+    support and -inf off it, with no floating-point warning; the marginal is
+    the joint's output marginal."""
+    rows, p_in = RATIO_TABLES[name]
+    ch, fed = Channel(np.array(rows)), make_distribution(p_in)
+    with np.errstate(all="raise"):
+        ratio, marginal = log_info_ratio(ch, fed)
+    joint = joint_from(ch, fed)
+    for (a, b), value in np.ndenumerate(ratio):
+        if joint.probs[a, b] > 0:
+            assert value == pytest.approx(math.log(info_ratio(joint, a, b)), abs=1e-13)
+        else:
+            assert value == -math.inf
+    assert marginal == pytest.approx(joint.marginal_y().probs, abs=1e-15)
+
+
+def test_log_info_ratio_takes_laws_whose_joint_is_out_of_tolerance():
+    """A channel and an input each within the normalization tolerance can
+    make a joint that is not.  The table, and the simulator built on it,
+    take them; a shape mismatch is still rejected."""
+    eps = 9e-13
+    ch = Channel(np.array([[0.9 + eps, 0.1], [0.1, 0.9 + eps]]))
+    fed = Distribution(np.array([0.5 + eps, 0.5]))
+    with pytest.raises(InvalidDistribution):
+        joint_from(ch, fed)
+    assert np.isfinite(log_info_ratio(ch, fed)[0]).all()
+    assert simulate_channel_coding(ch, fed, 0.3, 10, 50, "threshold", RngStream(1)).trials == 50
+    with pytest.raises(DimensionMismatch):
+        log_info_ratio(ch, uniform_distribution(3))
+
 
 def test_prediction_at_rate_equal_mi_is_half():
     ch = binary_symmetric_channel(0.11)

@@ -63,6 +63,18 @@ def test_dirichlet_beta_vs_monte_carlo():
     assert abs(est - 1 / 12) <= 3 * se
 
 
+@pytest.mark.parametrize("exponents, want", [
+    ([0.5, 0.5], math.pi),
+    ([0.5, 1.5, 2.0], math.pi / 12),
+    ([100.0, 100.0], math.exp(2 * math.lgamma(100.0) - math.lgamma(200.0))),
+], ids=["half-half", "half-three-halves-two", "integers-past-170"])
+def test_dirichlet_lgamma_branch(exponents, want):
+    """Non-integer exponents, or integers whose sum passes 170 (the largest
+    n with a finite float n!), take the log-gamma form: Gamma(1/2)^2 = pi,
+    Gamma(1/2) Gamma(3/2) Gamma(2) / Gamma(4) = pi/12, and B(100, 100)."""
+    assert dirichlet_integral(exponents) == pytest.approx(want, rel=1e-12)
+
+
 def test_dirichlet_rejects_nonpositive():
     with pytest.raises(NonPositiveExponent):
         dirichlet_integral([1.0, 0.0])

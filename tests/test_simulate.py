@@ -28,6 +28,7 @@ from ptshannon import (
     uniform_distribution,
 )
 from ptshannon import simulate
+from ptshannon.coding import log_info_ratio
 from ptshannon.errors import (
     CodebookTooLarge,
     InfeasibleDistortion,
@@ -49,7 +50,6 @@ from ptshannon.simulate import (
     _Sampler,
     _ScoreLaw,
     _sorted_tail,
-    _thresholds,
     _win_probability,
 )
 from ptshannon.type_classes import _masked_dot, count_types, type_array
@@ -64,6 +64,8 @@ BEC_ROWS = [[0.8, 0.2, 0.0], [0.0, 0.2, 0.8]]
 ASYM_ROWS = [[0.8, 0.15, 0.05], [0.2, 0.7, 0.1], [0.3, 0.3, 0.4]]
 ASYM_INPUT = [0.6, 0.3, 0.1]
 TERNARY_SYMMETRIC_ROWS = [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]
+# the benchmark's asymmetric 3x3 channel
+CHANNEL_3X3 = [[0.73, 0.17, 0.10], [0.13, 0.79, 0.08], [0.29, 0.23, 0.48]]
 # (channel, input, largest n drawn) for the property tests
 SMALL_CHANNELS = {
     "bsc": (binary_symmetric_channel(0.11), uniform_distribution(2), 30),
@@ -80,6 +82,32 @@ def small_channel_runs(draw, rates: int = 1):
     rate_list = sorted(draw(st.lists(st.floats(0.7 / n, 0.6), min_size=rates,
                                      max_size=rates)))
     return ch, p_in, n, rate_list, draw(st.integers(0, 2**32))
+
+
+@st.composite
+def circulant_rows(draw):
+    """Rows of a circulant channel on 2 to 7 symbols: row k is row 0 rolled
+    by k, and row 0 a Dirichlet draw with some entries set to 0."""
+    m = draw(st.integers(2, 7))
+    w = np.random.default_rng(draw(st.integers(0, 2**32))).dirichlet(np.ones(m))
+    w[draw(st.lists(st.integers(0, m - 1), max_size=m - 1))] = 0.0
+    w /= w.sum()
+    return np.array([np.roll(w, k) for k in range(m)])
+
+
+class _Built(Exception):
+    """Carries the score law a simulator built, out of the simulator."""
+
+
+def _law_of(run) -> _ScoreLaw:
+    """The score law ``run()`` builds, taken before any work is done with it."""
+    def build(*args):
+        raise _Built(_ScoreLaw(*args))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_ScoreLaw", build)
+        with pytest.raises(_Built) as built:
+            run()
+    return built.value.args[0]
 
 
 # --- source coding ------------------------------------------------------------------
@@ -452,41 +480,14 @@ def test_batched_score_equals_per_type_reference(name, data):
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("n", [16, 20, 287])
-def test_literal_threshold_is_the_conditional_threshold(n, monkeypatch):
-    """On the 3x3 benchmark channel with input (0.6, 0.3, 0.1), the threshold
-    a literal run takes from one block's output counts is bit for bit that
-    block's row of the conditional path's batch, for 2 000 random blocks.
-    Summed in position order, as once on the literal path, it differs from
-    the batch on a good share of them.  A literal run takes every threshold
-    from one block's counts."""
-    rows, p_in = np.array(CHANNEL_3X3), np.array([0.6, 0.3, 0.1])
-    log_p_out = np.log(p_in @ rows)
-    blocks = RngStream(8).generator().choice(3, size=(2000, n), p=p_in @ rows)
-    counts = np.stack([np.bincount(y, minlength=3) for y in blocks])
-    batch = _thresholds(n, 0.25, counts, log_p_out)
-    alone = [_thresholds(n, 0.25, row[None], log_p_out)[0] for row in counts]
-    assert np.array(alone).tobytes() == batch.tobytes()
-    positional = n * 0.25 + np.array([log_p_out[y].sum() for y in blocks])
-    assert np.count_nonzero(positional != batch) > 100
-
-    asked = []
-
-    def spy(n, rate, y_counts, log_p_out):
-        asked.append(y_counts)
-        return _thresholds(n, rate, y_counts, log_p_out)
-
-    monkeypatch.setattr(simulate, "_thresholds", spy)
-    simulate_channel_coding(Channel(rows), make_distribution(p_in), 0.1, 16, 20, "threshold",
-                            RngStream(2), method="materialize")
-    assert len(asked) == 20 and all(c.shape == (1, 3) and c.sum() == 16 for c in asked)
-
-
 # nine inputs into two outputs, every entry distinct: under a uniform input
 # each output column is a group of 9 atoms, past the 8 contiguous terms that
 # numpy starts to sum pairwise
 WIDE_ROWS = np.random.default_rng(5).dirichlet([1.0, 1.0], size=9).tolist()
-LITERAL_CHANNELS = {**SCORED_CHANNELS, "wide": (WIDE_ROWS, [1 / 9] * 9)}
+# and the threshold decoder's information-ratio law on the 3x3 benchmark
+# channel, whose output marginal is far from uniform
+RATIO_LAWS = {"3x3-ratio": (CHANNEL_3X3, [0.6, 0.3, 0.1])}
+LITERAL_CHANNELS = {**SCORED_CHANNELS, "wide": (WIDE_ROWS, [1 / 9] * 9), **RATIO_LAWS}
 
 
 def _joint_types(book: _Codebook, block: np.ndarray, shape: tuple) -> np.ndarray:
@@ -501,11 +502,16 @@ def _joint_types(book: _Codebook, block: np.ndarray, shape: tuple) -> np.ndarray
 def test_literal_word_scores_are_the_scores_of_their_joint_types(name):
     """Every literal word's score is bit for bit ``law.score`` of its joint
     type, -inf included: on laws of one and of three groups, on laws with
-    -inf atoms and on one with groups of 9 atoms.  The block is the
-    channel's output for the first word, so that word scores finite."""
+    -inf atoms, on one with groups of 9 atoms and on the threshold decoder's
+    ratio law.  Both paths compare a threshold score with n*rate, so a
+    literal word's threshold decision is its joint type's, bit for bit.
+    The block is the channel's output for the first word, so that word
+    scores finite."""
     rows, p_in = (np.array(x) for x in LITERAL_CHANNELS[name])
     with np.errstate(divide="ignore"):
-        law = _ScoreLaw(np.log(rows), np.log(p_in))
+        table = (log_info_ratio(Channel(rows), make_distribution(p_in))[0]
+                 if name in RATIO_LAWS else np.log(rows))
+        law = _ScoreLaw(table, np.log(p_in))
     gen = RngStream(5).generator()
     for n in (1, 6, 23):
         book = _Codebook(law, _Sampler(_cdf(p_in)), 300, n)
@@ -522,9 +528,8 @@ def test_literal_rd_words_are_lattice_points():
     lattice of the block's pooled type exactly."""
     src, d = make_distribution([0.5, 0.3, 0.2]), hamming_distortion(3)
     tc = rate_distortion(src, d, 0.15).optimal_test_channel
-    q_hat = src.probs @ tc.rows
-    g = np.log(src.probs[:, None] * tc.rows).T - np.log(q_hat)[:, None]
-    law = _ScoreLaw(g, np.log(q_hat), d.T)
+    ratio, q_hat = log_info_ratio(tc, src)
+    law = _ScoreLaw(ratio.T, np.log(q_hat), d.T)
     gen = RngStream(6).generator()
     for n in (5, 12, 24):
         block = _Sampler(_cdf(src.probs)).draw(gen, n)
@@ -814,7 +819,6 @@ def test_each_type_computed_once_per_run(monkeypatch):
 
 
 BSC_11 = [[0.89, 0.11], [0.11, 0.89]]
-CHANNEL_3X3 = [[0.73, 0.17, 0.10], [0.13, 0.79, 0.08], [0.29, 0.23, 0.48]]
 # (channel rows, input, rate, n) -> successes (threshold, ml) at seeds 1..5,
 # 200 trials each.  BSC ML decodes many exact ties (words at the sent word's
 # Hamming distance), each broken by a uniform draw.
@@ -1076,6 +1080,49 @@ def test_auto_materializes_when_the_lattice_is_over_its_guard():
             == simulate_channel_coding(*args, RngStream(1), method="materialize"))
 
 
+@given(circulant_rows())
+def test_circulant_threshold_law_pools_as_the_ml_law(rows):
+    """Under a uniform input every output column of a circulant channel holds
+    the same products, so their sorted sums, the marginal entries, are
+    bit-equal: the threshold decoder's ratio law has as many groups as the
+    ML law's ln W, one."""
+    m = rows.shape[0]
+    laws = [_law_of(lambda: simulate_channel_coding(Channel(rows), uniform_distribution(m),
+                                                    0.3, 8, 1, decoder, RngStream(0)))
+            for decoder in ("threshold", "ml")]
+    assert [len(law.atoms) for law in laws] == [1, 1]
+
+
+@given(circulant_rows())
+def test_circulant_rd_law_is_one_group(rows):
+    """Under a uniform source with Hamming distortion, every source symbol of
+    a circulant test channel sees the same (ratio, distortion) atoms with
+    bit-equal masses, so the rate-distortion law is one group and its
+    lattices grow as O(n).  With the marginal as a matrix product they
+    split on many such channels."""
+    m = rows.shape[0]
+    law = _law_of(lambda: simulate_rate_distortion(
+        uniform_distribution(m), Channel(rows), hamming_distortion(m), 0.5, 0.3, 8, 1,
+        RngStream(0)))
+    assert len(law.atoms) == 1
+
+
+def test_circulant_rd_runs_conditionally_past_the_split_lattice():
+    """A circulant test channel on 4 symbols at n = 30 whose source symbols
+    a matrix-product marginal splits: its largest lattice was then over the
+    guard, ``conditional`` raised and ``auto`` ran it literally.  Pooled into
+    one group it runs conditionally under ``auto`` too, and agrees with the
+    literal run within 3 sigma."""
+    w = np.random.default_rng(4).dirichlet(np.ones(4))
+    args = (uniform_distribution(4), Channel(np.array([np.roll(w, k) for k in range(4)])),
+            hamming_distortion(4), 0.5, 0.2, 30, 1000, RngStream(5))
+    conditional = simulate_rate_distortion(*args, method="conditional")
+    assert simulate_rate_distortion(*args) == conditional
+    literal = simulate_rate_distortion(*args, method="materialize")
+    p = conditional.p_hat
+    assert abs(p - literal.p_hat) <= 3 * math.sqrt(p * (1 - p) * 2 / 1000)
+
+
 def test_channel_noiseless_pools_to_two_atoms():
     """Noiseless 4-ary channel, uniform input, n = 287: each output column
     has 2 atoms (the matching input, or -inf), so the lattice has n + 1
@@ -1219,12 +1266,14 @@ def test_win_probability_matches_scalar_reference(tails, log_nm):
 def test_rd_fail_probability_matches_scalar_reference(atoms, budget, margin, log_nm):
     """The array failure sum against the scalar loop it replaced, on a
     random lattice of (score, mass, distortion) points with repeated scores
-    on both sides of the budget."""
+    on both sides of the budget.  The sum is not clamped, and it is a
+    probability as it stands."""
     values, mass, dist = map(np.array, zip(*atoms))
     values, log_pmf = 0.75 * values, np.log(mass / mass.sum())
     want = oracles.rd_fail_probability(values, log_pmf, dist, budget, margin, log_nm)
-    assert _rd_fail_probability(values, log_pmf, dist, budget, margin,
-                                log_nm) == pytest.approx(want, rel=1e-12)
+    got = _rd_fail_probability(values, log_pmf, dist, budget, margin, log_nm)
+    assert got == pytest.approx(want, rel=1e-12)
+    assert 0.0 <= got <= 1.0
 
 
 def test_rd_fail_probability_matches_scalar_reference_on_ternary_lattices():
@@ -1232,9 +1281,8 @@ def test_rd_fail_probability_matches_scalar_reference_on_ternary_lattices():
     point at n = 12 (nothing pools there), against the scalar loop."""
     src, d = make_distribution([0.5, 0.3, 0.2]), hamming_distortion(3)
     tc = rate_distortion(src, d, 0.15).optimal_test_channel
-    q_hat = src.probs @ tc.rows
-    g = np.log(src.probs[:, None] * tc.rows).T - np.log(q_hat)[:, None]
-    law = _ScoreLaw(g, np.log(q_hat), d.T)
+    ratio, q_hat = log_info_ratio(tc, src)
+    law = _ScoreLaw(ratio.T, np.log(q_hat), d.T)
     n, rate = 12, 0.55
     args = (n * 0.15 * (1 + 1e-9), n * rate, math.log(codebook_size(rate, n)))
     for key in map(tuple, law.key(type_array(3, n)).tolist()):
