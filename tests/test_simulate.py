@@ -480,6 +480,47 @@ def test_batched_score_equals_per_type_reference(name, data):
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("n", [16, 20, 287])
+def test_literal_threshold_is_the_conditional_threshold(n, monkeypatch):
+    """On the 3x3 benchmark channel with input (0.6, 0.3, 0.1), the threshold
+    decoder's ratio score of one joint type alone is bit for bit its row of
+    a batch, for 2 000 random (word, block) pairs; summed in position order
+    it differs from the batch on a good share of them.  A literal run scores
+    each of its words against the one block of its trial bit for bit as
+    ``law.score`` scores their joint types, and both paths compare that
+    score with the same n*rate, so a literal word passes the threshold iff
+    its joint type does."""
+    rows, p_in = np.array(CHANNEL_3X3), np.array([0.6, 0.3, 0.1])
+    channel, fed = Channel(rows), make_distribution(p_in)
+    table = log_info_ratio(channel, fed)[0]
+    law = _ScoreLaw(table, np.log(p_in))
+    gen = RngStream(8).generator()
+    outputs = _Sampler(_cdf(rows))
+    words = _Sampler(_cdf(p_in)).draw(gen, 2000 * n).reshape(2000, n)
+    blocks = np.stack([outputs.draw(gen, n, word) for word in words])
+    joint = np.zeros((2000, *rows.shape), dtype=np.int64)
+    np.add.at(joint, (np.arange(2000)[:, None], words, blocks), 1)
+    batch = law.score(joint)
+    alone = [law.score(one[None])[0] for one in joint]
+    assert np.array(alone).tobytes() == batch.tobytes()
+    positional = np.array([table[x, y].sum() for x, y in zip(words, blocks)])
+    assert np.count_nonzero(positional != batch) > 100
+
+    asked = []
+    sums = _Codebook.sums
+
+    def spy(book, block):
+        got = sums(book, block)
+        asked.append((block, got[0].copy(), book.law.score(_joint_types(book, block, rows.shape))))
+        return got
+
+    monkeypatch.setattr(simulate._Codebook, "sums", spy)
+    simulate_channel_coding(channel, fed, 0.1, 16, 20, "threshold", RngStream(2),
+                            method="materialize")
+    assert len(asked) == 20
+    assert all(block.size == 16 and got.tobytes() == want.tobytes() for block, got, want in asked)
+
+
 # nine inputs into two outputs, every entry distinct: under a uniform input
 # each output column is a group of 9 atoms, past the 8 contiguous terms that
 # numpy starts to sum pairwise
